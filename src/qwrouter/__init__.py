@@ -6,97 +6,20 @@ tunes the chiral phase and link weight, and quantifies robustness under
 static (von Mises) and dynamical (Ornstein–Uhlenbeck) phase noise.
 """
 
-from .dynamics import Propagator, PureState, evolve, evolve_piecewise, propagator
-from .hamiltonian import (
-    FullGraphLayout,
-    HermitianMatrix,
-    RouterParams,
-    build_full_hamiltonian,
-    build_reduced_hamiltonian,
-    reduction_isometry,
-)
-from .noise import (
-    EnsembleState,
-    NoiseAveragedState,
-    OUSpec,
-    StaticNoiseFidelity,
-    VonMisesSpec,
-    bessel_i0,
-    noise_equivalence,
-    noise_equivalence_inverse,
-    ou_ensemble_state,
-    ou_fidelity_curve,
-    ou_sample_path,
-    ou_stationary_draws,
-    static_noise_fidelity,
-    static_noise_state,
-    von_mises_pdf,
-)
-from .routing import (
-    DensityMatrix,
-    FidelityCurve,
-    SuperpositionGrid,
-    SuperpositionParams,
-    average_fidelity,
-    fidelity_grid,
-    input_state,
-    min_fidelity,
-    mixed_state_fidelity,
-    per_wrong_output_probability,
-    routing_fidelity,
-    target_state,
-    transition_probability,
-)
-from .search import PeakReport, RefineResult, ScanGrid, ScanSurface, find_peaks, refine, scan
+from . import dynamics, hamiltonian, noise, routing, search
+from .dynamics import *  # noqa: F401,F403
+from .hamiltonian import *  # noqa: F401,F403
+from .noise import *  # noqa: F401,F403
+from .routing import *  # noqa: F401,F403
+from .search import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FullGraphLayout",
-    "HermitianMatrix",
-    "RouterParams",
-    "build_full_hamiltonian",
-    "build_reduced_hamiltonian",
-    "reduction_isometry",
-    "Propagator",
-    "PureState",
-    "propagator",
-    "evolve",
-    "evolve_piecewise",
-    "DensityMatrix",
-    "FidelityCurve",
-    "SuperpositionGrid",
-    "SuperpositionParams",
-    "average_fidelity",
-    "fidelity_grid",
-    "input_state",
-    "min_fidelity",
-    "mixed_state_fidelity",
-    "per_wrong_output_probability",
-    "routing_fidelity",
-    "target_state",
-    "transition_probability",
-    "EnsembleState",
-    "NoiseAveragedState",
-    "OUSpec",
-    "StaticNoiseFidelity",
-    "VonMisesSpec",
-    "bessel_i0",
-    "noise_equivalence",
-    "noise_equivalence_inverse",
-    "ou_ensemble_state",
-    "ou_fidelity_curve",
-    "ou_sample_path",
-    "ou_stationary_draws",
-    "static_noise_fidelity",
-    "static_noise_state",
-    "von_mises_pdf",
-    "PeakReport",
-    "RefineResult",
-    "ScanGrid",
-    "ScanSurface",
-    "find_peaks",
-    "refine",
-    "scan",
+    *hamiltonian.__all__,
+    *dynamics.__all__,
+    *routing.__all__,
+    *noise.__all__,
+    *search.__all__,
     "__version__",
 ]

@@ -12,21 +12,16 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import sys
-from dataclasses import replace
 
 import click
 import numpy as np
 
-from .dynamics import PureState, evolve
+from .dynamics import verify_reduction
 from .hamiltonian import (
     TWO_PI,
-    FullGraphLayout,
     RouterParams,
     build_full_hamiltonian,
     build_reduced_hamiltonian,
-    reduction_isometry,
 )
 from .noise import (
     OUSpec,
@@ -40,12 +35,11 @@ from .routing import (
     average_fidelity,
     input_state,
     min_fidelity,
-    routing_fidelity,
     target_state,
     transition_probability,
     u_element_curve,
 )
-from .search import ScanGrid, refine, scan
+from .search import ScanGrid, _with_param, refine, scan
 
 # The five tabulated high-fidelity configurations (n, t, phi, statistic, reference).
 TABLE1_ROWS = (
@@ -202,7 +196,7 @@ def scan_cmd(kind, n, beta, phi, t_min, t_max, t_steps, param_min, param_max,
     ps = surface.param_values
     wrong = np.empty_like(surface.values)
     for j, p in enumerate(ps):
-        pp = replace(params, phi=float(p)) if kind == "phase" else replace(params, beta=float(p))
+        pp = _with_param(params, kind, p)
         wrong[:, j] = np.clip(np.abs(u_element_curve(pp, ts, 5, 0)) ** 2, 0.0, 1.0)
     lines = ["t,param,fidelity,p_wrong"]
     for i, t in enumerate(ts):
@@ -292,19 +286,25 @@ def noise_cmd(model, n, beta, phi, alpha, chi, t_max, t_steps, k, quad_points,
             vm = VonMisesSpec(k=k, quadrature_points=quad_points)
         except ValueError as exc:
             raise click.UsageError(str(exc))
+        unconverged = []
         for j in range(t_steps):
             t = j * t_max / (t_steps - 1)
             value = static_noise_fidelity(params, t, sp, vm)
+            if not value.converged:
+                unconverged.append(f"t={_fmt(t)} (points_used={value.points_used})")
             lines.append(f"{_fmt(t)},{_fmt(value)},")
+        if unconverged:
+            click.echo("warning: von Mises quadrature did not converge at "
+                       + ", ".join(unconverged), err=True)
     else:
         try:
             spec = OUSpec(theta=theta, mu=mu, sigma_vol=sigma, dt=dt,
                           trajectories=trajectories, seed=seed)
+            times, values, errors = ou_fidelity_curve(
+                params, input_state(sp), target_state(sp), spec, t_max, snapshots=t_steps
+            )
         except ValueError as exc:
             raise click.UsageError(str(exc))
-        times, values, errors = ou_fidelity_curve(
-            params, input_state(sp), target_state(sp), spec, t_max, snapshots=t_steps
-        )
         for t, v, e in zip(times, values, errors):
             lines.append(f"{_fmt(t)},{_fmt(v)},{_fmt(e)}")
     _emit("\n".join(lines) + "\n", output)
@@ -323,40 +323,12 @@ def verify_reduction_cmd(ctx, n_max, trials, seed, tolerance, output):
     Exits 1 if any projected full-graph evolution deviates from the reduced
     evolution by more than the tolerance.
     """
-    if n_max < 2:
-        raise click.UsageError("n-max must be >= 2")
-    if trials < 1:
-        raise click.UsageError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    corrupt = bool(os.environ.get("QWROUTER_CORRUPT_ISOMETRY"))
-    lines = []
-    overall = 0.0
-    for n in range(2, n_max + 1):
-        layout = FullGraphLayout(n)
-        isometry = reduction_isometry(layout)
-        if corrupt:
-            isometry = isometry.copy()
-            isometry[0, 0] += 1e-3
-        worst = 0.0
-        for _ in range(trials):
-            beta = rng.uniform(-2.0, 2.0)
-            phi = rng.uniform(0.0, TWO_PI)
-            t = rng.uniform(0.0, 30.0)
-            params = RouterParams(n_outputs=n, beta=beta, phi=phi)
-            raw = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            psi_red = PureState(raw / np.linalg.norm(raw))
-            full0 = isometry @ psi_red.amplitudes
-            full0 = PureState(full0 / np.linalg.norm(full0))
-            evolved_full = evolve(build_full_hamiltonian(params, layout), t, full0)
-            projected = isometry.conj().T @ evolved_full.amplitudes
-            evolved_red = evolve(
-                build_reduced_hamiltonian(params).entries, t, psi_red
-            )
-            worst = max(
-                worst, float(np.max(np.abs(projected - evolved_red.amplitudes)))
-            )
-        overall = max(overall, worst)
-        lines.append(f"n={n}: max deviation {worst:.3e}")
+    try:
+        worst = verify_reduction(n_max, trials, np.random.default_rng(seed))
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    lines = [f"n={n}: max deviation {w:.3e}" for n, w in enumerate(worst, start=2)]
+    overall = max(worst)
     ok = overall <= tolerance
     lines.append(f"overall max deviation {overall:.3e} (tolerance {tolerance:.1e})")
     lines.append("PASS" if ok else "FAIL")
@@ -397,17 +369,12 @@ def optimize_cmd(objective, kind, n, beta, phi, t0, param0, t_min, t_max,
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    def with_param(value: float) -> RouterParams:
-        if kind == "phase":
-            return replace(params, phi=float(value))
-        return replace(params, beta=float(value))
-
     if objective == "localized":
-        fn = lambda t, p: transition_probability(with_param(p), t, 1, 4)
+        fn = lambda t, p: transition_probability(_with_param(params, kind, p), t, 1, 4)
     elif objective == "average":
-        fn = lambda t, p: average_fidelity(with_param(p), t, sp_grid)
+        fn = lambda t, p: average_fidelity(_with_param(params, kind, p), t, sp_grid)
     else:
-        fn = lambda t, p: min_fidelity(with_param(p), t, sp_grid)
+        fn = lambda t, p: min_fidelity(_with_param(params, kind, p), t, sp_grid)
 
     try:
         result = refine(fn, (t0, param0), ((t_min, t_max), (param_min, param_max)))

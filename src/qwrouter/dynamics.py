@@ -14,9 +14,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hamiltonian import HermitianMatrix
+from . import hamiltonian
+from .hamiltonian import TWO_PI, HermitianMatrix, RouterParams
 
-__all__ = ["PureState", "Propagator", "propagator", "evolve", "evolve_piecewise"]
+__all__ = ["PureState", "Propagator", "propagator", "evolve", "evolve_piecewise",
+           "verify_reduction"]
 
 _HERMITICITY_TOL = 1e-10
 _UNITARITY_TOL = 1e-10
@@ -147,3 +149,39 @@ def evolve_piecewise(
         w, q = np.linalg.eigh(entries)
         amps = q @ (np.exp(-1j * w * dt) * (q.conj().T @ amps))
     return PureState(amps)
+
+
+def verify_reduction(n_max: int, trials: int, rng: np.random.Generator) -> list[float]:
+    """Check the six-state model against the full graph; worst deviation per ``n``.
+
+    For each ``n = 2 .. n_max``, ``trials`` cases draw ``beta`` in [-2, 2),
+    ``phi`` in [0, 2 pi), ``t`` in [0, 30) and a random reduced state, lift it
+    through ``hamiltonian.reduction_isometry`` (looked up per call, so tests
+    can substitute a corrupted one), evolve it on the full graph, project it
+    back and compare with the reduced evolution.  Returns the largest
+    absolute amplitude deviation seen at each ``n``.
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    worst_per_n = []
+    for n in range(2, n_max + 1):
+        layout = hamiltonian.FullGraphLayout(n)
+        isometry = hamiltonian.reduction_isometry(layout)
+        worst = 0.0
+        for _ in range(trials):
+            beta = rng.uniform(-2.0, 2.0)
+            phi = rng.uniform(0.0, TWO_PI)
+            t = rng.uniform(0.0, 30.0)
+            params = RouterParams(n_outputs=n, beta=beta, phi=phi)
+            raw = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            psi_red = PureState(raw / np.linalg.norm(raw))
+            full0 = isometry @ psi_red.amplitudes
+            full0 = PureState(full0 / np.linalg.norm(full0))
+            evolved_full = evolve(hamiltonian.build_full_hamiltonian(params, layout), t, full0)
+            projected = isometry.conj().T @ evolved_full.amplitudes
+            evolved_red = evolve(hamiltonian.build_reduced_hamiltonian(params), t, psi_red)
+            worst = max(worst, float(np.max(np.abs(projected - evolved_red.amplitudes))))
+        worst_per_n.append(worst)
+    return worst_per_n

@@ -36,10 +36,18 @@ __all__ = [
     "FullGraphLayout",
     "build_full_hamiltonian",
     "build_reduced_hamiltonian",
+    "reduced_hamiltonians",
     "reduction_isometry",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+
+def _check_n_outputs(n) -> None:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise TypeError("n_outputs must be an integer")
+    if n < 2:
+        raise ValueError("n_outputs must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -63,12 +71,7 @@ class RouterParams:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_outputs, (int, np.integer)) or isinstance(
-            self.n_outputs, bool
-        ):
-            raise TypeError("n_outputs must be an integer")
-        if self.n_outputs < 2:
-            raise ValueError("n_outputs must be >= 2")
+        _check_n_outputs(self.n_outputs)
         beta = float(self.beta)
         phi = float(self.phi)
         if not math.isfinite(beta):
@@ -123,12 +126,7 @@ class FullGraphLayout:
     output_internal: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_outputs, (int, np.integer)) or isinstance(
-            self.n_outputs, bool
-        ):
-            raise TypeError("n_outputs must be an integer")
-        if self.n_outputs < 2:
-            raise ValueError("n_outputs must be >= 2")
+        _check_n_outputs(self.n_outputs)
         n = int(self.n_outputs)
         i, o = int(self.input_internal), int(self.output_internal)
         if not (0 <= i <= n and 0 <= o <= n):
@@ -156,10 +154,6 @@ class FullGraphLayout:
         return self.n_outputs + 1 + internal
 
 
-def _default_layout(params: RouterParams) -> FullGraphLayout:
-    return FullGraphLayout(params.n_outputs)
-
-
 def build_full_hamiltonian(
     params: RouterParams, layout: FullGraphLayout | None = None
 ) -> HermitianMatrix:
@@ -184,7 +178,7 @@ def build_full_hamiltonian(
         Of dimension ``2 * (n_outputs + 1)``.
     """
     if layout is None:
-        layout = _default_layout(params)
+        layout = FullGraphLayout(params.n_outputs)
     if layout.n_outputs != params.n_outputs:
         raise ValueError("layout.n_outputs does not match params.n_outputs")
     n = params.n_outputs
@@ -202,26 +196,34 @@ def build_full_hamiltonian(
     return HermitianMatrix(h)
 
 
-def build_reduced_hamiltonian(params: RouterParams) -> HermitianMatrix:
-    """Six-dimensional Hamiltonian over the reduced basis.
+def reduced_hamiltonians(n: int, beta: float, phis) -> np.ndarray:
+    """Six-dimensional Hamiltonians over the reduced basis, one per phase.
 
-    Reduced-basis labels 1..6 map to row/column indices 0..5.  Nonzero
-    elements (upper triangle): (1,2)=1, (2,3)=beta*exp(-i*phi),
-    (2,5)=(3,5)=sqrt(n-1), (3,4)=1, (5,6)=1, and the diagonal element
-    (5,5)=n-2; the lower triangle is the conjugate mirror.
+    Returns shape ``(len(phis), 6, 6)``.  Reduced-basis labels 1..6 map to
+    row/column indices 0..5.  Nonzero elements (upper triangle): (1,2)=1,
+    (2,3)=beta*exp(-i*phi), (2,5)=(3,5)=sqrt(n-1), (3,4)=1, (5,6)=1, and the
+    diagonal element (5,5)=n-2; the lower triangle is the conjugate mirror.
     """
-    n = params.n_outputs
+    phis = np.asarray(phis, dtype=float)
     s = math.sqrt(n - 1.0)
-    upper = np.zeros((6, 6), dtype=complex)
-    upper[0, 1] = 1.0
-    upper[1, 2] = params.beta * np.exp(-1j * params.phi)
-    upper[1, 4] = s
-    upper[2, 4] = s
-    upper[2, 3] = 1.0
-    upper[4, 5] = 1.0
-    h = upper + upper.conj().T
-    h[4, 4] = n - 2.0
-    return HermitianMatrix(h)
+    h = np.zeros((phis.shape[0], 6, 6), dtype=complex)
+    for i, j, value in ((0, 1, 1.0), (1, 4, s), (2, 4, s), (2, 3, 1.0), (4, 5, 1.0)):
+        h[:, i, j] = h[:, j, i] = value
+    # The phased pair is written as its two entries of ``upper + upper^H`` so
+    # that signed zeros (visible in JSON output) follow that mirror exactly.
+    link = beta * np.exp(-1j * phis)
+    zero = np.zeros_like(link)
+    h[:, 1, 2] = link + zero.conj()
+    h[:, 2, 1] = zero + link.conj()
+    h[:, 4, 4] = n - 2.0
+    return h
+
+
+def build_reduced_hamiltonian(params: RouterParams) -> HermitianMatrix:
+    """Six-dimensional Hamiltonian of one router (see ``reduced_hamiltonians``)."""
+    return HermitianMatrix(
+        reduced_hamiltonians(params.n_outputs, params.beta, [params.phi])[0]
+    )
 
 
 def reduction_isometry(layout: FullGraphLayout) -> np.ndarray:

@@ -37,12 +37,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy import special
 
 from .dynamics import PureState
-from .hamiltonian import RouterParams
+from .hamiltonian import RouterParams, reduced_hamiltonians
 from .routing import (
     DensityMatrix,
     SuperpositionParams,
     input_state,
-    routing_fidelity,
     target_state,
 )
 
@@ -267,34 +266,11 @@ def _adaptive_average(
     return prev, delta <= _WARN_THRESHOLD, used
 
 
-def _reduced_batch(n: int, beta: float, phis: np.ndarray) -> np.ndarray:
-    """Stack of reduced Hamiltonians, one per phase value."""
-    b = phis.shape[0]
-    s = math.sqrt(n - 1.0)
-    h = np.zeros((b, 6, 6), dtype=complex)
-    link = beta * np.exp(-1j * phis)
-    h[:, 0, 1] = 1.0
-    h[:, 1, 0] = 1.0
-    h[:, 1, 2] = link
-    h[:, 2, 1] = link.conj()
-    h[:, 1, 4] = s
-    h[:, 4, 1] = s
-    h[:, 2, 4] = s
-    h[:, 4, 2] = s
-    h[:, 2, 3] = 1.0
-    h[:, 3, 2] = 1.0
-    h[:, 4, 5] = 1.0
-    h[:, 5, 4] = 1.0
-    h[:, 4, 4] = n - 2.0
-    return h
-
-
 def _states_at_phases(
     params: RouterParams, t: float, phis: np.ndarray, psi0: np.ndarray
 ) -> np.ndarray:
     """Evolved states ``exp(-i H(phi) t) psi0`` for a batch of phases; shape (len(phis), 6)."""
-    h = _reduced_batch(params.n_outputs, params.beta, phis)
-    w, q = np.linalg.eigh(h)
+    w, q = np.linalg.eigh(reduced_hamiltonians(params.n_outputs, params.beta, phis))
     coeff = np.einsum("pji,j->pi", q.conj(), psi0)
     return np.einsum("pij,pj->pi", q, np.exp(-1j * w * t) * coeff)
 
@@ -351,19 +327,7 @@ def ou_sample_path(spec: OUSpec, steps: int, trajectory: int = 0) -> np.ndarray:
         raise ValueError("steps must be >= 1")
     if spec.mu is None:
         raise ValueError("mu must be set for standalone path sampling")
-    steps = int(steps)
-    rng = _trajectory_rng(spec.seed, int(trajectory))
-    x = spec.mu + math.sqrt(spec.stationary_variance) * rng.standard_normal()
-    path = np.empty(steps)
-    path[0] = x
-    if steps > 1:
-        z = rng.standard_normal(steps - 1)
-        drift_dt = spec.theta * spec.dt
-        diffusion = spec.sigma_vol * math.sqrt(spec.dt)
-        for m in range(steps - 1):
-            x = x + drift_dt * (spec.mu - x) + diffusion * z[m]
-            path[m + 1] = x
-    return path
+    return _phase_paths(spec, spec.mu, int(steps), [int(trajectory)])[0]
 
 
 def ou_stationary_draws(spec: OUSpec, count: int) -> np.ndarray:
@@ -372,25 +336,27 @@ def ou_stationary_draws(spec: OUSpec, count: int) -> np.ndarray:
         raise ValueError("count must be >= 1")
     if spec.mu is None:
         raise ValueError("mu must be set for standalone sampling")
-    sd = math.sqrt(spec.stationary_variance)
-    out = np.empty(int(count))
-    for i in range(int(count)):
-        out[i] = spec.mu + sd * _trajectory_rng(spec.seed, i).standard_normal()
-    return out
+    return _phase_paths(spec, spec.mu, 1, range(int(count)))[:, 0]
 
 
-def _phase_paths(spec: OUSpec, mu: float, steps: int) -> np.ndarray:
-    """All trajectories' paths, shape (trajectories, steps); rows match ou_sample_path."""
-    n_traj = spec.trajectories
-    x0 = np.empty(n_traj)
-    z = np.empty((n_traj, max(steps - 1, 0)))
+def _phase_paths(
+    spec: OUSpec, mu: float, steps: int, trajectories: Sequence[int] | None = None
+) -> np.ndarray:
+    """Paths of the given trajectory indices (default: all), shape (len, steps).
+
+    Row ``r`` depends only on ``(spec.seed, trajectories[r])``.
+    """
+    if trajectories is None:
+        trajectories = range(spec.trajectories)
+    x0 = np.empty(len(trajectories))
+    z = np.empty((len(trajectories), max(steps - 1, 0)))
     sd = math.sqrt(spec.stationary_variance)
-    for i in range(n_traj):
-        rng = _trajectory_rng(spec.seed, i)
-        x0[i] = mu + sd * rng.standard_normal()
+    for r, index in enumerate(trajectories):
+        rng = _trajectory_rng(spec.seed, index)
+        x0[r] = mu + sd * rng.standard_normal()
         if steps > 1:
-            z[i] = rng.standard_normal(steps - 1)
-    paths = np.empty((n_traj, steps))
+            z[r] = rng.standard_normal(steps - 1)
+    paths = np.empty((len(trajectories), steps))
     x = x0
     paths[:, 0] = x
     drift_dt = spec.theta * spec.dt
@@ -423,7 +389,7 @@ def _evolve_ensemble(
     paths = _phase_paths(spec, mu, total_steps)
     remaining = [s for s in wanted if s > 0]
     for m in range(total_steps):
-        h = _reduced_batch(params.n_outputs, params.beta, paths[:, m])
+        h = reduced_hamiltonians(params.n_outputs, params.beta, paths[:, m])
         w, q = np.linalg.eigh(h)
         phase = np.exp(-1j * w * spec.dt)
         coeff = np.einsum("bji,bj->bi", q.conj(), psi)
@@ -432,11 +398,6 @@ def _evolve_ensemble(
             out[m + 1] = psi.copy()
             remaining.pop(0)
     return out
-
-
-def _ensemble_from_states(states: np.ndarray) -> EnsembleState:
-    rho = np.einsum("bi,bj->ij", states, states.conj()) / states.shape[0]
-    return EnsembleState(0.5 * (rho + rho.conj().T), states)
 
 
 def ou_ensemble_state(
@@ -455,7 +416,9 @@ def ou_ensemble_state(
     mu = params.phi if spec.mu is None else spec.mu
     steps = int(round(t / spec.dt))
     snaps = _evolve_ensemble(params, psi0.amplitudes, spec, mu, steps, [steps])
-    return _ensemble_from_states(snaps[steps])
+    states = snaps[steps]
+    rho = np.einsum("bi,bj->ij", states, states.conj()) / states.shape[0]
+    return EnsembleState(0.5 * (rho + rho.conj().T), states)
 
 
 def ou_fidelity_curve(
@@ -479,6 +442,8 @@ def ou_fidelity_curve(
         raise ValueError("snapshots must be >= 2")
     snapshots = int(snapshots)
     total_steps = int(round(t_max / spec.dt))
+    if total_steps < 1:
+        raise ValueError("t_max must span at least one step of dt")
     grid = [
         int(round(j * t_max / (snapshots - 1) / spec.dt)) for j in range(snapshots)
     ]
@@ -521,8 +486,3 @@ def noise_equivalence_inverse(theta: float, sigma_vol: float) -> tuple[float, fl
         raise ValueError("sigma_vol must be finite and > 0")
     sigma_sq = float(sigma_vol) ** 2 / (2.0 * float(theta))
     return sigma_sq, 1.0 / sigma_sq
-
-
-def noiseless_reference(params: RouterParams, t: float, sp: SuperpositionParams) -> float:
-    """Convenience re-export of the noiseless fidelity for curve comparisons."""
-    return routing_fidelity(params, t, sp)

@@ -41,14 +41,8 @@ __all__ = [
 ]
 
 _DM_TOL = 1e-10
-
-# Reduced-basis labels (1-based, matching the six-state ordering).
-LABEL_INPUT_EXTERNAL = 1
-LABEL_INPUT_INTERNAL = 2
-LABEL_OUTPUT_INTERNAL = 3
-LABEL_OUTPUT_EXTERNAL = 4
-LABEL_OTHER_INTERNALS = 5
-LABEL_OTHER_EXTERNALS = 6
+# Rows and columns of (U41, U42, U31, U32), the elements of every transfer overlap.
+_TRANSFER = ([3, 3, 2, 2], [0, 1, 0, 1])
 
 
 def _clamp01(x: float) -> float:
@@ -170,27 +164,15 @@ def _spectrum(params: RouterParams) -> tuple[np.ndarray, np.ndarray]:
     return w, q
 
 
-def _u_element(params: RouterParams, t: float, row: int, col: int) -> complex:
-    w, q = _spectrum(params)
-    return complex(np.sum(q[row] * np.conj(q[col]) * np.exp(-1j * w * t)))
+def u_element_curve(params: RouterParams, ts, rows, cols) -> np.ndarray:
+    """Propagator elements ``U[rows, cols](t)`` over times ``ts`` (0-based indices).
 
-
-def _transfer_elements(params: RouterParams, t: float) -> tuple[complex, complex, complex, complex]:
-    """(U41, U42, U31, U32) at time t, 0-based rows/cols (3,0), (3,1), (2,0), (2,1)."""
-    w, q = _spectrum(params)
-    ph = np.exp(-1j * w * float(t))
-    u41 = complex(np.sum(q[3] * np.conj(q[0]) * ph))
-    u42 = complex(np.sum(q[3] * np.conj(q[1]) * ph))
-    u31 = complex(np.sum(q[2] * np.conj(q[0]) * ph))
-    u32 = complex(np.sum(q[2] * np.conj(q[1]) * ph))
-    return u41, u42, u31, u32
-
-
-def u_element_curve(params: RouterParams, ts: np.ndarray, row: int, col: int) -> np.ndarray:
-    """Propagator element ``U[row, col](t)`` over an array of times (0-based indices)."""
+    ``rows``/``cols`` are ints or equal-length index lists; the result has
+    the shape of ``ts`` for ints and ``(len(rows),) + shape(ts)`` for lists.
+    """
     w, q = _spectrum(params)
     ts = np.asarray(ts, dtype=float)
-    return (q[row] * np.conj(q[col])) @ np.exp(-1j * np.outer(w, ts))
+    return (q[rows] * np.conj(q[cols])) @ np.exp(-1j * np.multiply.outer(w, ts))
 
 
 def input_state(p: SuperpositionParams) -> PureState:
@@ -225,7 +207,7 @@ def transition_probability(
     """``|<to| exp(-i H_red t) |from>|^2`` over reduced-basis labels 1..6."""
     row = _check_label(to_label)
     col = _check_label(from_label)
-    return _clamp01(abs(_u_element(params, float(t), row, col)) ** 2)
+    return _clamp01(abs(u_element_curve(params, t, row, col)) ** 2)
 
 
 def per_wrong_output_probability(params: RouterParams, t: float) -> float:
@@ -238,7 +220,7 @@ def routing_fidelity(params: RouterParams, t: float, sp: SuperpositionParams) ->
     """``|<w| U(t) |psi0>|^2`` for the superposition input and its target."""
     alpha = sp.alpha
     gamma = math.sqrt(max(0.0, 1.0 - alpha**2))
-    u41, u42, u31, u32 = _transfer_elements(params, t)
+    u41, u42, u31, u32 = u_element_curve(params, t, *_TRANSFER).tolist()
     phase = np.exp(1j * sp.chi)
     overlap = (
         alpha * alpha * u41
@@ -258,7 +240,7 @@ def fidelity_grid(
     alphas = grid.alphas()
     gammas = np.sqrt(np.clip(1.0 - alphas**2, 0.0, None))
     phases = np.exp(1j * grid.chis())
-    u41, u42, u31, u32 = _transfer_elements(params, t)
+    u41, u42, u31, u32 = u_element_curve(params, t, *_TRANSFER).tolist()
     overlap = (
         (alphas**2 * u41 + gammas**2 * u32)[:, None]
         + np.outer(alphas * gammas, u42 * phases + u31 * np.conj(phases))
@@ -309,7 +291,7 @@ def min_fidelity(
     if not refine:
         return _clamp01(best)
 
-    u41, u42, u31, u32 = _transfer_elements(params, t)
+    u41, u42, u31, u32 = u_element_curve(params, t, *_TRANSFER).tolist()
 
     def objective(alpha: float, chi: float) -> float:
         gamma = math.sqrt(max(0.0, 1.0 - alpha * alpha))

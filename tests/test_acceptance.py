@@ -12,7 +12,6 @@ import numpy as np
 
 from qwrouter import (
     DensityMatrix,
-    FullGraphLayout,
     OUSpec,
     PureState,
     RouterParams,
@@ -31,25 +30,17 @@ from qwrouter import (
     ou_stationary_draws,
     per_wrong_output_probability,
     propagator,
-    reduction_isometry,
     routing_fidelity,
     scan,
     static_noise_fidelity,
     static_noise_state,
     target_state,
     transition_probability,
+    verify_reduction,
 )
+from qwrouter.cli import TABLE1_ROWS
 
 TWO_PI = 2.0 * math.pi
-
-# The five tabulated high-fidelity configurations: (n, t, phi, statistic, value).
-REFERENCE_CONFIGS = (
-    (20, 18.550, 4.712, "average", 0.993),
-    (20, 18.523, 4.708, "minimum", 0.984),
-    (70, 18.397, 4.758, "average", 0.987),
-    (70, 18.484, 4.765, "minimum", 0.976),
-    (1000000, 40.068, 4.716, "minimum", 0.995),
-)
 
 SP_BALANCED = SuperpositionParams(0.7, 3.0 * math.pi / 2.0)
 
@@ -57,25 +48,9 @@ SP_BALANCED = SuperpositionParams(0.7, 3.0 * math.pi / 2.0)
 def test_c1_reduction_equivalence(criterion_report):
     """Projected full-graph evolution matches the six-state model."""
     start = time.perf_counter()
-    rng = np.random.default_rng(424242)
-    worst = 0.0
-    cases = 0
-    for n in range(2, 9):
-        layout = FullGraphLayout(n)
-        isometry = reduction_isometry(layout)
-        for _ in range(50):
-            beta = rng.uniform(-2.0, 2.0)
-            phi = rng.uniform(0.0, TWO_PI)
-            t = rng.uniform(0.0, 30.0)
-            params = RouterParams(n_outputs=n, beta=beta, phi=phi)
-            raw = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            psi_red = PureState(raw / np.linalg.norm(raw))
-            full0 = PureState(isometry @ psi_red.amplitudes)
-            evolved_full = evolve(build_full_hamiltonian(params, layout), t, full0)
-            projected = isometry.conj().T @ evolved_full.amplitudes
-            evolved_red = evolve(build_reduced_hamiltonian(params).entries, t, psi_red)
-            worst = max(worst, float(np.max(np.abs(projected - evolved_red.amplitudes))))
-            cases += 1
+    per_n = verify_reduction(8, 50, np.random.default_rng(424242))
+    worst = max(per_n)
+    cases = 50 * len(per_n)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 5.0
     criterion_report(
@@ -90,7 +65,7 @@ def test_c2_tabulated_fidelities(criterion_report):
     start = time.perf_counter()
     details = []
     ok = True
-    for n, t, phi, statistic, reference in REFERENCE_CONFIGS:
+    for n, t, phi, statistic, reference in TABLE1_ROWS:
         params = RouterParams(n_outputs=n, beta=1.0, phi=phi)
         if statistic == "average":
             computed = average_fidelity(params, t)
@@ -208,7 +183,7 @@ def test_c6_static_noise_limits(criterion_report):
     uniform_ok = abs(uniform - oracle) < 1e-6
 
     monotone_ok = True
-    for n, t, phi, _, _ in REFERENCE_CONFIGS:
+    for n, t, phi, _, _ in TABLE1_ROWS:
         params = RouterParams(n_outputs=n, beta=1.0, phi=phi)
         values = [
             static_noise_fidelity(params, t, SP_BALANCED, VonMisesSpec(k))

@@ -7,11 +7,13 @@ from click.testing import CliRunner
 
 from qwrouter import (
     RouterParams,
+    StaticNoiseFidelity,
     SuperpositionParams,
     build_reduced_hamiltonian,
     routing_fidelity,
     transition_probability,
 )
+from qwrouter import cli, hamiltonian
 from qwrouter.cli import main
 
 
@@ -155,6 +157,41 @@ class TestNoiseCommand:
             assert float(f_s) == pytest.approx(expected, abs=1e-6)
             assert float(e_s) >= 0.0
 
+    def test_vonmises_warns_when_unconverged(self, runner, monkeypatch):
+        args = ["noise", "vonmises", "--n", "20", "--phi", "4.712", "--k", "2",
+                "--t-max", "2", "--t-steps", "3"]
+        clean = runner.invoke(main, args)
+        assert clean.exit_code == 0
+        assert clean.stderr == ""
+        real = cli.static_noise_fidelity
+
+        def unconverged_at_one(params, t, sp, vm):
+            value = real(params, t, sp, vm)
+            if t != 1.0:
+                return value
+            return StaticNoiseFidelity(float(value), converged=False, points_used=8256)
+
+        monkeypatch.setattr(cli, "static_noise_fidelity", unconverged_at_one)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stdout == clean.stdout
+        warnings = result.stderr.strip().split("\n")
+        assert len(warnings) == 1
+        assert "t=1.0 (points_used=8256)" in warnings[0]
+        assert "t=0.0" not in warnings[0] and "t=2.0" not in warnings[0]
+
+    def test_ou_single_trajectory_exits_2(self, runner):
+        result = runner.invoke(main, ["noise", "ou", "--n", "20", "--trajectories", "1"])
+        assert result.exit_code == 2
+        assert "trajectories" in result.output
+
+    def test_ou_t_max_below_one_step_exits_2(self, runner):
+        result = runner.invoke(
+            main, ["noise", "ou", "--n", "20", "--t-max", "1", "--dt", "5"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
     def test_ou_seeded_runs_identical(self, runner):
         args = ["noise", "ou", "--n", "8", "--trajectories", "20",
                 "--t-max", "1", "--t-steps", "4", "--seed", "99"]
@@ -173,11 +210,17 @@ class TestVerifyReductionCommand:
         assert "PASS" in result.output
         assert "FAIL" not in result.output
 
-    def test_detects_corrupted_isometry(self, runner):
+    def test_detects_corrupted_isometry(self, runner, monkeypatch):
+        clean = hamiltonian.reduction_isometry
+
+        def corrupted(layout):
+            v = clean(layout).copy()
+            v[0, 0] += 1e-3
+            return v
+
+        monkeypatch.setattr(hamiltonian, "reduction_isometry", corrupted)
         result = runner.invoke(
-            main,
-            ["verify-reduction", "--n-max", "3", "--trials", "3"],
-            env={"QWROUTER_CORRUPT_ISOMETRY": "1"},
+            main, ["verify-reduction", "--n-max", "3", "--trials", "3"]
         )
         assert result.exit_code == 1
         assert "FAIL" in result.output

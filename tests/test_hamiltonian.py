@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwrouter
 from qwrouter import (
     FullGraphLayout,
     HermitianMatrix,
     RouterParams,
     build_full_hamiltonian,
     build_reduced_hamiltonian,
+    reduced_hamiltonians,
     reduction_isometry,
 )
 
@@ -174,6 +176,55 @@ def test_reduction_identity_nondefault_ports():
     full = build_full_hamiltonian(params, lay).entries
     red = build_reduced_hamiltonian(params).entries
     np.testing.assert_allclose(v.conj().T @ full @ v, red, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=10**6),
+    beta=st.sampled_from([0.0, -0.0, 1.0]) | st.floats(min_value=-3.0, max_value=3.0),
+    phis=st.lists(
+        st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True), min_size=1, max_size=5
+    ),
+)
+def test_reduced_hamiltonians_match_single_builder_bitwise(n, beta, phis):
+    stack = reduced_hamiltonians(n, beta, np.array(phis))
+    assert stack.shape == (len(phis), 6, 6)
+    for k, phi in enumerate(phis):
+        single = build_reduced_hamiltonian(RouterParams(n, beta, phi)).entries
+        # Reference: the documented upper triangle plus its conjugate mirror.  The
+        # link goes through array arithmetic as in the batch: scalar and array
+        # complex products can differ in the sign of an underflowed zero.
+        upper = np.zeros((6, 6), dtype=complex)
+        upper[0, 1] = upper[2, 3] = upper[4, 5] = 1.0
+        upper[1, 2] = (beta * np.exp(-1j * np.array([phi])))[0]
+        upper[1, 4] = upper[2, 4] = np.sqrt(n - 1.0)
+        reference = upper + upper.conj().T
+        reference[4, 4] = n - 2.0
+        # Same bits, signed zeros included.
+        assert stack[k].tobytes() == single.tobytes() == reference.tobytes()
+
+
+def test_package_exports():
+    """The package re-exports every module's public names, and loses none."""
+    parent_names = {
+        "FullGraphLayout", "HermitianMatrix", "RouterParams", "build_full_hamiltonian",
+        "build_reduced_hamiltonian", "reduction_isometry", "Propagator", "PureState",
+        "propagator", "evolve", "evolve_piecewise", "DensityMatrix", "FidelityCurve",
+        "SuperpositionGrid", "SuperpositionParams", "average_fidelity", "fidelity_grid",
+        "input_state", "min_fidelity", "mixed_state_fidelity",
+        "per_wrong_output_probability", "routing_fidelity", "target_state",
+        "transition_probability", "EnsembleState", "NoiseAveragedState", "OUSpec",
+        "StaticNoiseFidelity", "VonMisesSpec", "bessel_i0", "noise_equivalence",
+        "noise_equivalence_inverse", "ou_ensemble_state", "ou_fidelity_curve",
+        "ou_sample_path", "ou_stationary_draws", "static_noise_fidelity",
+        "static_noise_state", "von_mises_pdf", "PeakReport", "RefineResult", "ScanGrid",
+        "ScanSurface", "find_peaks", "refine", "scan", "__version__",
+    }
+    assert len(parent_names) == 47
+    assert len(qwrouter.__all__) == len(set(qwrouter.__all__))
+    assert set(qwrouter.__all__) == parent_names | {"reduced_hamiltonians", "verify_reduction"}
+    for name in qwrouter.__all__:
+        assert hasattr(qwrouter, name)
 
 
 @settings(max_examples=40, deadline=None)

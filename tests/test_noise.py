@@ -244,6 +244,17 @@ class TestOUPaths:
         for i in range(5):
             np.testing.assert_array_equal(batch[i], ou_sample_path(spec, 50, i))
 
+    def test_path_follows_euler_maruyama(self):
+        # Scalar reference: stationary start, then X <- X + theta dt (mu - X) + Sigma sqrt(dt) z.
+        spec = OUSpec(theta=0.7, mu=-0.4, sigma_vol=0.9, dt=0.05, seed=31)
+        rng = np.random.Generator(np.random.Philox(key=31, counter=2 << 128))
+        x = -0.4 + math.sqrt(spec.stationary_variance) * rng.standard_normal()
+        expected = [x]
+        for z in rng.standard_normal(39):
+            x = x + 0.7 * 0.05 * (-0.4 - x) + 0.9 * math.sqrt(0.05) * z
+            expected.append(x)
+        np.testing.assert_array_equal(ou_sample_path(spec, 40, trajectory=2), expected)
+
     def test_stationary_draws_match_path_starts(self):
         spec = OUSpec(mu=0.9, seed=11)
         draws = ou_stationary_draws(spec, 6)
@@ -300,6 +311,11 @@ class TestOUEnsemble:
         reference = np.array([routing_fidelity(PEAK, float(t), SP) for t in times])
         assert float(np.max(np.abs(values - reference))) < 0.05
         assert np.all(errors >= 0.0)
+
+    def test_curve_rejects_t_max_below_one_step(self):
+        spec = OUSpec(dt=5.0, trajectories=4)
+        with pytest.raises(ValueError, match="step"):
+            ou_fidelity_curve(PEAK, input_state(SP), target_state(SP), spec, t_max=1.0)
 
     def test_curve_shapes_and_grid(self):
         spec = OUSpec(trajectories=10, seed=2)

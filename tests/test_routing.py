@@ -13,17 +13,19 @@ from qwrouter import (
     SuperpositionParams,
     average_fidelity,
     build_full_hamiltonian,
+    build_reduced_hamiltonian,
     evolve,
     fidelity_grid,
     input_state,
     min_fidelity,
     mixed_state_fidelity,
     per_wrong_output_probability,
+    propagator,
     routing_fidelity,
     target_state,
     transition_probability,
 )
-from qwrouter.routing import _uhlmann_fidelity_general
+from qwrouter.routing import _uhlmann_fidelity_general, u_element_curve
 
 TWO_PI = 2.0 * np.pi
 RNG = np.random.default_rng(20240814)
@@ -358,3 +360,31 @@ def test_reduced_model_saturates_in_n():
     a = min_fidelity(RouterParams(10**3, 1.0, phi), t)
     b = min_fidelity(RouterParams(10**4, 1.0, phi), t)
     assert abs(a - b) < 0.01
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=200),
+    beta=st.floats(min_value=-2.0, max_value=2.0),
+    phi=st.floats(min_value=0.0, max_value=TWO_PI),
+    t=st.floats(min_value=0.0, max_value=50.0),
+)
+def test_u_element_curve_matches_propagator(n, beta, phi, t):
+    """Index-list and single-index elements agree with the full propagator matrix."""
+    params = RouterParams(n, beta, phi)
+    rows, cols = [3, 3, 2, 2, 5, 0], [0, 1, 0, 1, 0, 4]
+    ts = np.array([0.0, t, 2.0 * t])
+    curve = u_element_curve(params, ts, rows, cols)
+    assert curve.shape == (len(rows), ts.size)
+    for j, tj in enumerate(ts):
+        u = propagator(build_reduced_hamiltonian(params), tj).matrix
+        np.testing.assert_allclose(curve[:, j], u[rows, cols], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            u_element_curve(params, tj, rows, cols), u[rows, cols], rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            u_element_curve(params, tj, 5, 0), u[5, 0], rtol=0, atol=1e-12
+        )
+    np.testing.assert_allclose(
+        u_element_curve(params, ts, 3, 0), curve[0], rtol=0, atol=1e-15
+    )
