@@ -305,6 +305,10 @@ def noise_cmd(model, n, beta, phi, alpha, chi, t_max, t_steps, k, quad_points,
             )
         except ValueError as exc:
             raise click.UsageError(str(exc))
+        if len(times) < t_steps:
+            click.echo(f"warning: {t_steps} snapshot times requested but only "
+                       f"{len(times)} are distinct after snapping to whole steps "
+                       f"of dt={_fmt(spec.dt)}", err=True)
         for t, v, e in zip(times, values, errors):
             lines.append(f"{_fmt(t)},{_fmt(v)},{_fmt(e)}")
     _emit("\n".join(lines) + "\n", output)

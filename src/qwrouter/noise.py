@@ -24,12 +24,26 @@ integrated by the Euler–Maruyama rule with stationary initial conditions
 random stream (Philox keyed by the seed, counter set from the trajectory
 index), so ensembles are reproducible and independent of evaluation order
 or batching.
+
+The phase enters the Hamiltonian only through the link term,
+``H(phi) = H0 + beta (e^{-i phi} E + e^{i phi} E^dag)`` with ``E = |2><3|``,
+so each step's propagator is a trigonometric series in the phase,
+``U(phi, dt) = sum_m e^{i m phi} C_m``.  The Dyson series bounds
+``||C_m|| <= (|beta| dt)^|m| / |m|! e^{|beta| dt}`` whatever ``n``; the
+harmonics are cut where that tail drops below float64 roundoff and the
+``C_m`` come from one ``eigh`` of a few equispaced phases plus an FFT, once
+per run.  A step of the whole ensemble is then a GEMM of the powers
+``e^{i m X_b}`` against the ``C_m`` and a batched 6x6 product, with no
+per-trajectory ``eigh``.  Its cost grows with ``|beta| dt`` (13 harmonics at
+``|beta| dt = 0.01``, 37 at 1, 191 at 20); beyond about 560 the required
+phase nodes exceed 4096 and the run is rejected with a ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,6 +79,9 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _WARN_THRESHOLD = 1e-6
+_ROUNDOFF = 2.0**-53  # float64 unit roundoff: the Fourier step's tail target
+_MAX_PHASE_NODES = 4096  # Fourier-step phase nodes: |beta| dt up to about 560
+_HARMONIC_BLOCK = 32  # harmonics per GEMM in a Fourier step (bounds scratch)
 
 
 @dataclass(frozen=True)
@@ -228,10 +245,19 @@ def von_mises_pdf(eps, k: float):
     return vals
 
 
+@lru_cache(maxsize=32)
+def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss–Legendre nodes and weights on ``[-1, 1]``, built once per count."""
+    x, w = leggauss(points)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _nodes_and_weights(k: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes over the concentration-adapted domain and unit-mass weights."""
     half_width = math.pi if k <= 0.0 else min(math.pi, 10.0 / math.sqrt(k))
-    x, w = leggauss(points)
+    x, w = _leggauss(points)
     eps = half_width * x
     weights = w * von_mises_pdf(eps, k)
     return eps, weights / weights.sum()
@@ -367,6 +393,41 @@ def _phase_paths(
     return paths
 
 
+def _step_fourier(n: int, beta: float, dt: float) -> np.ndarray:
+    """Coefficients ``C_m`` of ``U(phi, dt) = sum_m e^{i m phi} C_m``, shape ``(2M + 1, 36)``.
+
+    Row ``j`` is ``C_{j - M}`` flattened.  ``M`` is the smallest cutoff whose
+    two-sided Dyson tail (module docstring) is below the float64 unit
+    roundoff; the bound holds for ``|m| + 1 >= |beta| dt``, which every
+    dropped harmonic satisfies.  The coefficients come from one ``eigh`` of
+    ``N`` equispaced phases (a power of two, at least ``max(8, 2M + 2)``, so
+    aliasing adds only that tail) and an FFT over the phase axis.
+    """
+    x = abs(beta) * dt
+    cutoff = 0
+    if x > 0.0:
+        cutoff = math.ceil(min(x, _MAX_PHASE_NODES))
+        # Log of 2 ||C_{M+1}|| / (1 - x / (M + 2)), a bound on the geometric tail.
+        while 2 * cutoff + 2 <= _MAX_PHASE_NODES and (
+            (cutoff + 1) * math.log(x) - math.lgamma(cutoff + 2) + x
+            + math.log(2.0 / (1.0 - x / (cutoff + 2)))
+        ) > math.log(_ROUNDOFF):
+            cutoff += 1
+    nodes = 8
+    while nodes < 2 * cutoff + 2:
+        nodes *= 2
+    if nodes > _MAX_PHASE_NODES:
+        raise ValueError(
+            f"|beta| * dt = {x:g} needs over {_MAX_PHASE_NODES} phase nodes "
+            "for the Fourier step; use a smaller dt"
+        )
+    phis = _TWO_PI * np.arange(nodes) / nodes
+    w, q = np.linalg.eigh(reduced_hamiltonians(n, beta, phis))
+    u = (q * np.exp(-1j * w * dt)[:, None, :]) @ q.conj().transpose(0, 2, 1)
+    c = np.fft.fft(u.reshape(nodes, 36), axis=0) / nodes
+    return c[np.arange(-cutoff, cutoff + 1) % nodes]
+
+
 def _evolve_ensemble(
     params: RouterParams,
     psi0: np.ndarray,
@@ -377,7 +438,11 @@ def _evolve_ensemble(
 ) -> dict[int, np.ndarray]:
     """Batched piecewise-constant evolution of all trajectories.
 
-    Returns a map step-index -> (trajectories, 6) state stack at that step.
+    Each step applies ``U(X_b, dt) = sum_m e^{i m X_b} C_m`` (see
+    ``_step_fourier``): one GEMM of the phase powers against the flattened
+    ``C_m``, in blocks of ``_HARMONIC_BLOCK`` harmonics, then one batched
+    6x6 matrix-vector product.  Returns a map step-index -> (trajectories, 6)
+    state stack at that step.
     """
     wanted = sorted(set(int(s) for s in snapshot_steps))
     psi = np.broadcast_to(psi0, (spec.trajectories, psi0.shape[0])).copy()
@@ -386,14 +451,24 @@ def _evolve_ensemble(
         out[0] = psi.copy()
     if total_steps == 0:
         return out
+    coeffs = _step_fourier(params.n_outputs, params.beta, spec.dt)
+    harmonics = coeffs.shape[0]
+    cutoff = (harmonics - 1) // 2
+    # powers[j, b] = e^{i (lo + j - M) X_b} for the block of harmonics starting at lo.
+    powers = np.empty((min(harmonics, _HARMONIC_BLOCK), spec.trajectories), dtype=complex)
     paths = _phase_paths(spec, mu, total_steps)
     remaining = [s for s in wanted if s > 0]
     for m in range(total_steps):
-        h = reduced_hamiltonians(params.n_outputs, params.beta, paths[:, m])
-        w, q = np.linalg.eigh(h)
-        phase = np.exp(-1j * w * spec.dt)
-        coeff = np.einsum("bji,bj->bi", q.conj(), psi)
-        psi = np.einsum("bij,bj->bi", q, phase * coeff)
+        x = paths[:, m]
+        z = np.exp(1j * x)
+        step = 0.0
+        for lo in range(0, harmonics, powers.shape[0]):
+            block = coeffs[lo:lo + powers.shape[0]]
+            np.exp(1j * (lo - cutoff) * x, out=powers[0])
+            for j in range(1, block.shape[0]):
+                np.multiply(powers[j - 1], z, out=powers[j])
+            step = step + powers[:block.shape[0]].T @ block
+        psi = np.einsum("bij,bj->bi", step.reshape(-1, 6, 6), psi)
         if remaining and m + 1 == remaining[0]:
             out[m + 1] = psi.copy()
             remaining.pop(0)

@@ -237,10 +237,15 @@ def fidelity_grid(
     """Routing fidelity over the (alpha, chi) grid; shape (alpha_points, chi_points)."""
     if grid is None:
         grid = SuperpositionGrid()
+    return _grid_from_elements(u_element_curve(params, t, *_TRANSFER).tolist(), grid)
+
+
+def _grid_from_elements(u: list[complex], grid: SuperpositionGrid) -> np.ndarray:
+    """Fidelity grid from the transfer elements ``(U41, U42, U31, U32)``."""
     alphas = grid.alphas()
     gammas = np.sqrt(np.clip(1.0 - alphas**2, 0.0, None))
     phases = np.exp(1j * grid.chis())
-    u41, u42, u31, u32 = u_element_curve(params, t, *_TRANSFER).tolist()
+    u41, u42, u31, u32 = u
     overlap = (
         (alphas**2 * u41 + gammas**2 * u32)[:, None]
         + np.outer(alphas * gammas, u42 * phases + u31 * np.conj(phases))
@@ -285,13 +290,14 @@ def min_fidelity(
     """
     if grid is None:
         grid = SuperpositionGrid()
-    f = fidelity_grid(params, t, grid)
+    u = u_element_curve(params, t, *_TRANSFER).tolist()
+    f = _grid_from_elements(u, grid)
     i, j = np.unravel_index(np.argmin(f), f.shape)
     best = float(f[i, j])
     if not refine:
         return _clamp01(best)
 
-    u41, u42, u31, u32 = u_element_curve(params, t, *_TRANSFER).tolist()
+    u41, u42, u31, u32 = u
 
     def objective(alpha: float, chi: float) -> float:
         gamma = math.sqrt(max(0.0, 1.0 - alpha * alpha))

@@ -192,6 +192,34 @@ class TestNoiseCommand:
         assert result.exit_code == 2
         assert result.stdout == ""
 
+    def test_ou_beta_dt_beyond_fourier_limit_exits_2(self, runner):
+        result = runner.invoke(
+            main, ["noise", "ou", "--n", "20", "--beta", "1000", "--dt", "1",
+                   "--t-max", "2", "--trajectories", "2"]
+        )
+        assert result.exit_code == 2
+        assert "smaller dt" in result.output
+
+    def test_ou_warns_when_snapshot_times_collide(self, runner):
+        args = ["noise", "ou", "--n", "20", "--trajectories", "4",
+                "--t-max", "0.05", "--t-steps", "11"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert len(result.stdout.strip().split("\n")) == 1 + 6
+        warnings = result.stderr.strip().split("\n")
+        assert len(warnings) == 1
+        assert "11 snapshot times requested" in warnings[0]
+        assert "only 6 are distinct" in warnings[0] and "dt=0.01" in warnings[0]
+
+    def test_ou_distinct_snapshot_times_do_not_warn(self, runner):
+        # The benchmark's OU grid: 101 times over t-max 5 at dt 0.01.
+        args = ["noise", "ou", "--n", "20", "--phi", "4.712", "--trajectories", "4",
+                "--t-max", "5"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert len(result.stdout.strip().split("\n")) == 1 + 101
+        assert result.stderr == ""
+
     def test_ou_seeded_runs_identical(self, runner):
         args = ["noise", "ou", "--n", "8", "--trajectories", "20",
                 "--t-max", "1", "--t-steps", "4", "--seed", "99"]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, linalg
 
 from qwrouter import (
     EnsembleState,
@@ -12,6 +12,7 @@ from qwrouter import (
     SuperpositionParams,
     VonMisesSpec,
     bessel_i0,
+    build_reduced_hamiltonian,
     input_state,
     noise_equivalence,
     noise_equivalence_inverse,
@@ -19,13 +20,21 @@ from qwrouter import (
     ou_fidelity_curve,
     ou_sample_path,
     ou_stationary_draws,
+    reduced_hamiltonians,
     routing_fidelity,
     static_noise_fidelity,
     static_noise_state,
     target_state,
     von_mises_pdf,
 )
-from qwrouter.noise import _adaptive_average, _phase_paths
+from qwrouter.noise import (
+    _HARMONIC_BLOCK,
+    _adaptive_average,
+    _evolve_ensemble,
+    _leggauss,
+    _phase_paths,
+    _step_fourier,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -193,6 +202,17 @@ class TestAdaptiveAverage:
         assert value == pytest.approx(i1(2.0) / bessel_i0(2.0), abs=1e-9)
 
 
+class TestLeggaussCache:
+    def test_rule_is_cached_and_read_only(self):
+        x, w = _leggauss(129)
+        assert _leggauss(129)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+
 class TestStaticNoiseState:
     def test_sharp_limit_nearly_pure(self):
         state = static_noise_state(
@@ -327,6 +347,75 @@ class TestOUEnsemble:
         assert values[0] == pytest.approx(
             routing_fidelity(PEAK, 0.0, SP), abs=1e-12
         )
+
+
+def eigh_step_reference(params, psi0, spec, mu, steps):
+    """The former per-step path: one eigh of every trajectory's H(X_b) per step."""
+    psi = np.broadcast_to(psi0, (spec.trajectories, 6)).copy()
+    paths = _phase_paths(spec, mu, steps)
+    for m in range(steps):
+        h = reduced_hamiltonians(params.n_outputs, params.beta, paths[:, m])
+        w, q = np.linalg.eigh(h)
+        coeff = np.einsum("bji,bj->bi", q.conj(), psi)
+        psi = np.einsum("bij,bj->bi", q, np.exp(-1j * w * spec.dt) * coeff)
+    return psi
+
+
+class TestFourierStep:
+    @pytest.mark.parametrize(
+        "beta, dt",
+        [(0.0, 0.01), (-1.7, 0.01), (1.0, 0.01), (1.0, 0.1), (3.0, 0.3),
+         (-40.0, 0.25), (100.0, 0.2)],
+    )
+    def test_matches_eigh_reference(self, beta, dt):
+        rng = np.random.default_rng(int(1000 * abs(beta) + 7919 * dt))
+        params = RouterParams(int(rng.integers(2, 60)), beta, float(rng.uniform(0, TWO_PI)))
+        spec = OUSpec(theta=1.3, sigma_vol=0.8, dt=dt, trajectories=40, seed=5)
+        psi0 = input_state(SuperpositionParams(float(rng.uniform()), 1.1)).amplitudes
+        got = _evolve_ensemble(params, psi0, spec, params.phi, 30, [30])[30]
+        ref = eigh_step_reference(params, psi0, spec, params.phi, 30)
+        assert float(np.max(np.abs(got - ref))) <= 1e-12
+
+    def test_large_beta_dt_uses_several_blocks(self):
+        # |beta| dt = 20 keeps 191 harmonics, so the reference comparison above
+        # covers the blocked application of the harmonics.
+        assert _step_fourier(5, -100.0, 0.2).shape[0] > 2 * _HARMONIC_BLOCK
+
+    def test_zero_volatility_is_noiseless_propagator(self):
+        params = RouterParams(20, 1.0, 4.712)
+        spec = OUSpec(sigma_vol=0.0, trajectories=3)
+        psi0 = input_state(SP).amplitudes
+        got = _evolve_ensemble(params, psi0, spec, params.phi, 250, [250])[250]
+        h = build_reduced_hamiltonian(params).entries
+        expected = linalg.expm(-1j * h * 250 * spec.dt) @ psi0
+        assert float(np.max(np.abs(got - expected))) <= 1e-12
+
+    def test_eigh_calls_independent_of_work(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        counts = []
+        for trajectories, t_max in ((4, 0.1), (30, 1.0)):
+            calls.clear()
+            ou_fidelity_curve(
+                PEAK, input_state(SP), target_state(SP),
+                OUSpec(trajectories=trajectories), t_max=t_max, snapshots=5,
+            )
+            counts.append(len(calls))
+        assert counts == [1, 1]
+
+    def test_rejects_beta_dt_beyond_node_limit(self):
+        spec = OUSpec(dt=1.0, trajectories=4)
+        with pytest.raises(ValueError, match="dt"):
+            ou_fidelity_curve(
+                RouterParams(20, 1e6, 0.0), input_state(SP), target_state(SP),
+                spec, t_max=2.0,
+            )
 
 
 class TestEquivalence:

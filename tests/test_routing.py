@@ -196,6 +196,28 @@ class TestGridStatistics:
             p, 18.523, grid, refine=False
         ) + 1e-15
 
+    def test_min_fidelity_reads_transfer_elements_once(self, monkeypatch):
+        from qwrouter import routing
+
+        p = RouterParams(20, 1.0, 4.708)
+        grid = SuperpositionGrid(21, 32)
+        calls = []
+        real = routing.u_element_curve
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(routing, "u_element_curve", counting)
+        for refine in (False, True):
+            calls.clear()
+            min_fidelity(p, 18.523, grid, refine=refine)
+            assert len(calls) == 1
+        # The unrefined minimum is the grid minimum, bit for bit.
+        assert min_fidelity(p, 18.523, grid, refine=False) == float(
+            fidelity_grid(p, 18.523, grid).min()
+        )
+
     def test_grid_shape(self):
         f = fidelity_grid(RouterParams(5, 1.0, 1.0), 3.0, SuperpositionGrid(11, 16))
         assert f.shape == (11, 16)
