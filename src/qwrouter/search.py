@@ -11,6 +11,7 @@ import numpy as np
 from .hamiltonian import RouterParams
 from .routing import (
     SuperpositionGrid,
+    _descend,
     average_fidelity,
     min_fidelity,
     transition_probability,
@@ -137,8 +138,6 @@ def scan(
             out[:, j] = np.abs(u_element_curve(params, ts, 3, 0)) ** 2
         np.clip(out, 0.0, 1.0, out=out)
     else:
-        if sp_grid is None:
-            sp_grid = SuperpositionGrid()
         stat = average_fidelity if objective == "average" else min_fidelity
         for j, p in enumerate(ps):
             params = _with_param(params_base, grid.param_kind, p)
@@ -176,61 +175,40 @@ def find_peaks(
     dt = surface.t_values[1] - surface.t_values[0] if nt > 1 else 1.0
     dp = surface.param_values[1] - surface.param_values[0] if npar > 1 else 1.0
 
-    candidate = np.zeros_like(v, dtype=bool)
-    for i in range(nt):
-        for j in range(npar):
-            if v[i, j] <= threshold:
-                continue
-            val = v[i, j]
-            if i > 0 and v[i - 1, j] > val:
-                continue
-            if i + 1 < nt and v[i + 1, j] > val:
-                continue
-            if j > 0 and v[i, j - 1] > val:
-                continue
-            if j + 1 < npar and v[i, j + 1] > val:
-                continue
-            candidate[i, j] = True
-
-    # Collapse plateaus: adjacent equal-valued candidates count as one peak.
+    # Candidates top the threshold and no neighbour beats them, so adjacent
+    # candidates hold equal values: a connected run of them is one plateau,
+    # reported at its first cell in row-major order.
+    padded = np.pad(v, 1, constant_values=-np.inf)
+    candidate = v > threshold
+    for nbr in (padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]):
+        candidate &= ~(nbr > v)
     seen = np.zeros_like(candidate)
     peaks: list[PeakReport] = []
-    for i in range(nt):
-        for j in range(npar):
-            if not candidate[i, j] or seen[i, j]:
-                continue
-            stack = [(i, j)]
-            seen[i, j] = True
-            cluster = []
-            while stack:
-                ci, cj = stack.pop()
-                cluster.append((ci, cj))
-                for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
-                    if (
-                        0 <= ni < nt
-                        and 0 <= nj < npar
-                        and candidate[ni, nj]
-                        and not seen[ni, nj]
-                        and v[ni, nj] == v[i, j]
-                    ):
-                        seen[ni, nj] = True
-                        stack.append((ni, nj))
-            pi, pj = cluster[0]
-            t_here = float(surface.t_values[pi])
-            p_here = float(surface.param_values[pj])
-            wrong = None
-            if surface.params_base is not None:
-                params = _with_param(surface.params_base, surface.param_kind, p_here)
-                wrong = transition_probability(params, t_here, 1, 6)
-            peaks.append(
-                PeakReport(
-                    location=(t_here, p_here),
-                    value=float(v[pi, pj]),
-                    width_t=_run_width(v[:, pj], pi, threshold, float(dt)),
-                    width_param=_run_width(v[pi, :], pj, threshold, float(dp)),
-                    wrong_output_prob=wrong,
-                )
+    for pi, pj in np.argwhere(candidate).tolist():
+        if seen[pi, pj]:
+            continue
+        stack = [(pi, pj)]
+        while stack:
+            ci, cj = stack.pop()
+            seen[ci, cj] = True
+            for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
+                if 0 <= ni < nt and 0 <= nj < npar and candidate[ni, nj] and not seen[ni, nj]:
+                    stack.append((ni, nj))
+        t_here = float(surface.t_values[pi])
+        p_here = float(surface.param_values[pj])
+        wrong = None
+        if surface.params_base is not None:
+            params = _with_param(surface.params_base, surface.param_kind, p_here)
+            wrong = transition_probability(params, t_here, 1, 6)
+        peaks.append(
+            PeakReport(
+                location=(t_here, p_here),
+                value=float(v[pi, pj]),
+                width_t=_run_width(v[:, pj], pi, threshold, float(dt)),
+                width_param=_run_width(v[pi, :], pj, threshold, float(dp)),
+                wrong_output_prob=wrong,
             )
+        )
 
     if sort_by == "value":
         key = lambda p: (-p.value, -p.width_product, p.location[0])
@@ -246,16 +224,23 @@ def refine(
     initial_step: tuple[float, float] | None = None,
     tol: float = 1e-4,
 ) -> RefineResult:
-    """Derivative-free coordinate ascent with step halving.
+    """Derivative-free coordinate ascent with step halving (``routing._descend``).
 
     Accepted iterates never decrease the objective; terminates once both
-    coordinate steps fall below ``tol``.  Raises on non-finite objective
-    values.
+    coordinate steps fall below ``tol``.  Raises ``ValueError`` on non-finite
+    objective values and unless ``tol`` and both steps are finite and positive.
     """
     (t_lo, t_hi), (p_lo, p_hi) = bounds
     t, p = float(start[0]), float(start[1])
     if not (t_lo <= t <= t_hi and p_lo <= p <= p_hi):
         raise ValueError("start must lie within bounds")
+    if initial_step is None:
+        step_t = max((t_hi - t_lo) / 20.0, 10.0 * tol)
+        step_p = max((p_hi - p_lo) / 20.0, 10.0 * tol)
+    else:
+        step_t, step_p = float(initial_step[0]), float(initial_step[1])
+    if not all(math.isfinite(x) and x > 0.0 for x in (tol, step_t, step_p)):
+        raise ValueError(f"tol and steps must be finite and > 0, got {tol}, {step_t}, {step_p}")
 
     evaluations = 0
 
@@ -267,25 +252,7 @@ def refine(
             raise ValueError(f"objective returned non-finite value at ({tt}, {pp})")
         return val
 
-    best = evaluate(t, p)
-    if initial_step is None:
-        step_t = max((t_hi - t_lo) / 20.0, 10.0 * tol)
-        step_p = max((p_hi - p_lo) / 20.0, 10.0 * tol)
-    else:
-        step_t, step_p = float(initial_step[0]), float(initial_step[1])
-
-    while step_t >= tol or step_p >= tol:
-        improved = False
-        for dt_, dp_ in ((step_t, 0.0), (-step_t, 0.0), (0.0, step_p), (0.0, -step_p)):
-            cand_t = min(max(t + dt_, t_lo), t_hi)
-            cand_p = min(max(p + dp_, p_lo), p_hi)
-            if cand_t == t and cand_p == p:
-                continue
-            val = evaluate(cand_t, cand_p)
-            if val > best:
-                t, p, best = cand_t, cand_p, val
-                improved = True
-        if not improved:
-            step_t *= 0.5
-            step_p *= 0.5
-    return RefineResult(point=(t, p), value=best, converged=True, evaluations=evaluations)
+    t, p, neg_best = _descend(
+        lambda tt, pp: -evaluate(tt, pp), t, p, -evaluate(t, p), bounds, step_t, step_p, tol
+    )
+    return RefineResult(point=(t, p), value=-neg_best, converged=True, evaluations=evaluations)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,8 @@ from qwrouter import (
     target_state,
     transition_probability,
 )
-from qwrouter.routing import _uhlmann_fidelity_general, u_element_curve
+from qwrouter.cli import TABLE1_ROWS
+from qwrouter.routing import _TRANSFER, _uhlmann_fidelity_general, u_element_curve
 
 TWO_PI = 2.0 * np.pi
 RNG = np.random.default_rng(20240814)
@@ -255,6 +258,123 @@ class TestGridStatistics:
             ]
         )
         assert grid_val == pytest.approx(mc, abs=5e-3)
+
+
+def former_fidelity_grid(u, grid):
+    """The former fidelity-grid formula, from ``u = (U41, U42, U31, U32)``."""
+    alphas = grid.alphas()
+    gammas = np.sqrt(np.clip(1.0 - alphas**2, 0.0, None))
+    phases = np.exp(1j * grid.chis())
+    u41, u42, u31, u32 = u
+    overlap = (alphas**2 * u41 + gammas**2 * u32)[:, None] + np.outer(
+        alphas * gammas, u42 * phases + u31 * np.conj(phases)
+    )
+    return np.clip(np.abs(overlap) ** 2, 0.0, 1.0)
+
+
+def grid_mean_reference(params, t, grid):
+    """The former average: the fidelity grid's weighted mean."""
+    f = former_fidelity_grid(u_element_curve(params, t, *_TRANSFER).tolist(), grid)
+    if grid.measure == "uniform":
+        return float(f.mean())
+    w = grid.alphas() / grid.alphas().sum()
+    return float((w[:, None] * f).sum() / grid.chi_points)
+
+
+def min_fidelity_loop_reference(params, t, grid):
+    """The former worst case: the grid minimum, then min_fidelity's own descent loop."""
+    u41, u42, u31, u32 = u = u_element_curve(params, t, *_TRANSFER).tolist()
+    f = former_fidelity_grid(u, grid)
+    i, j = np.unravel_index(np.argmin(f), f.shape)
+    best = float(f[i, j])
+
+    def objective(alpha, chi):
+        gamma = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+        ph = complex(math.cos(chi), math.sin(chi))
+        ov = (
+            alpha * alpha * u41
+            + alpha * gamma * ph * u42
+            + alpha * gamma * ph.conjugate() * u31
+            + gamma * gamma * u32
+        )
+        return abs(ov) ** 2
+
+    alpha = float(grid.alphas()[i])
+    chi = float(grid.chis()[j])
+    step_a = 1.0 / max(grid.alpha_points - 1, 1)
+    step_c = TWO_PI / grid.chi_points
+    while step_a >= 1e-4 or step_c >= 1e-4:
+        improved = False
+        for da in (step_a, -step_a):
+            cand = min(max(alpha + da, 0.0), 1.0)
+            val = objective(cand, chi)
+            if val < best:
+                alpha, best, improved = cand, val, True
+        for dc in (step_c, -step_c):
+            cand = chi + dc
+            val = objective(alpha, cand)
+            if val < best:
+                chi, best, improved = cand, val, True
+        if not improved:
+            step_a *= 0.5
+            step_c *= 0.5
+    return min(max(best, 0.0), 1.0)
+
+
+# Grids with a single chi, or two, keep the e^{+-i chi} cross terms of the
+# Gram matrix from cancelling.
+REFERENCE_GRIDS = [
+    SuperpositionGrid(41, 64),
+    SuperpositionGrid(201, 64, measure="haar"),
+    SuperpositionGrid(1, 1, measure="haar"),
+    SuperpositionGrid(3, 2, measure="haar"),
+    SuperpositionGrid(5, 1, measure="haar"),
+]
+
+
+def random_router(rng):
+    return (
+        RouterParams(int(rng.integers(2, 200)), float(rng.uniform(-2.0, 2.0)),
+                     float(rng.uniform(0.0, TWO_PI))),
+        float(rng.uniform(0.0, 50.0)),
+    )
+
+
+class TestAgainstFormerLoops:
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=repr)
+    def test_average_matches_grid_mean(self, grid):
+        rng = np.random.default_rng(grid.alpha_points * 100 + grid.chi_points)
+        for _ in range(40):
+            params, t = random_router(rng)
+            got = average_fidelity(params, t, grid)
+            assert abs(got - grid_mean_reference(params, t, grid)) <= 1e-13
+
+    def test_average_builds_no_grid(self, monkeypatch):
+        from qwrouter import routing
+
+        def no_grid(*args):
+            raise AssertionError("average_fidelity built a fidelity grid")
+
+        monkeypatch.setattr(routing, "_grid_from_elements", no_grid)
+        got = average_fidelity(RouterParams(20, 1.0, 4.712), 18.55)
+        assert got == pytest.approx(0.993, abs=0.01)
+
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS[:1] + REFERENCE_GRIDS[3:], ids=repr)
+    def test_min_fidelity_matches_loop(self, grid):
+        # Coarse grids often put the start on alpha = 0 or 1, where chi ties exactly.
+        rng = np.random.default_rng(7 + grid.alpha_points)
+        for _ in range(60):
+            params, t = random_router(rng)
+            got = min_fidelity(params, t, grid)
+            assert abs(got - min_fidelity_loop_reference(params, t, grid)) <= 1e-15
+
+    @pytest.mark.parametrize("row", TABLE1_ROWS, ids=lambda r: f"n{r[0]}-{r[3]}")
+    def test_min_fidelity_matches_loop_on_table1(self, row):
+        n, t, phi, _, _ = row
+        params = RouterParams(n, 1.0, phi)
+        grid = SuperpositionGrid()
+        got = min_fidelity(params, t, grid)
+        assert abs(got - min_fidelity_loop_reference(params, t, grid)) <= 1e-15
 
 
 class TestDensityMatrix:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,77 @@ def synthetic_surface(values, params_base=None, param_kind="phase"):
         param_kind=param_kind,
         params_base=params_base,
     )
+
+
+def find_peaks_reference_keys(values, threshold):
+    """Peak cells of the former loops: candidates, then equal-valued clusters."""
+    nt, npar = values.shape
+    candidate = np.zeros_like(values, dtype=bool)
+    for i in range(nt):
+        for j in range(npar):
+            val = values[i, j]
+            if val <= threshold:
+                continue
+            nbrs = [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
+            if any(0 <= a < nt and 0 <= b < npar and values[a, b] > val for a, b in nbrs):
+                continue
+            candidate[i, j] = True
+    seen = np.zeros_like(candidate)
+    cells = []
+    for i in range(nt):
+        for j in range(npar):
+            if not candidate[i, j] or seen[i, j]:
+                continue
+            stack = [(i, j)]
+            seen[i, j] = True
+            while stack:
+                ci, cj = stack.pop()
+                for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
+                    if (
+                        0 <= ni < nt
+                        and 0 <= nj < npar
+                        and candidate[ni, nj]
+                        and not seen[ni, nj]
+                        and values[ni, nj] == values[i, j]
+                    ):
+                        seen[ni, nj] = True
+                        stack.append((ni, nj))
+            cells.append((i, j))
+    return cells
+
+
+def refine_loop_reference(objective, start, bounds, initial_step=None, tol=1e-4):
+    """The former ``refine`` loop: (point, value, evaluations)."""
+    (t_lo, t_hi), (p_lo, p_hi) = bounds
+    t, p = float(start[0]), float(start[1])
+    evaluations = 0
+
+    def evaluate(tt, pp):
+        nonlocal evaluations
+        evaluations += 1
+        return float(objective(tt, pp))
+
+    best = evaluate(t, p)
+    if initial_step is None:
+        step_t = max((t_hi - t_lo) / 20.0, 10.0 * tol)
+        step_p = max((p_hi - p_lo) / 20.0, 10.0 * tol)
+    else:
+        step_t, step_p = float(initial_step[0]), float(initial_step[1])
+    while step_t >= tol or step_p >= tol:
+        improved = False
+        for dt_, dp_ in ((step_t, 0.0), (-step_t, 0.0), (0.0, step_p), (0.0, -step_p)):
+            cand_t = min(max(t + dt_, t_lo), t_hi)
+            cand_p = min(max(p + dp_, p_lo), p_hi)
+            if cand_t == t and cand_p == p:
+                continue
+            val = evaluate(cand_t, cand_p)
+            if val > best:
+                t, p, best = cand_t, cand_p, val
+                improved = True
+        if not improved:
+            step_t *= 0.5
+            step_p *= 0.5
+    return (t, p), best, evaluations
 
 
 class TestScanGrid:
@@ -145,6 +218,25 @@ class TestFindPeaks:
         peaks = find_peaks(synthetic_surface(vals), threshold=0.5)
         assert len(peaks) == 1
 
+    def test_seeded_plateau_surfaces_match_former_loops(self):
+        # Five levels make many plateaus, some touching higher or equal cells.
+        rng = np.random.default_rng(2024)
+        total = 0
+        for _ in range(200):
+            shape = tuple(int(k) for k in rng.integers(1, 12, 2))
+            vals = rng.integers(0, 5, shape) / 5.0 + 0.1
+            cells = find_peaks_reference_keys(vals, 0.3)
+            for sort_by in ("value", "width"):
+                peaks = find_peaks(synthetic_surface(vals), threshold=0.3, sort_by=sort_by)
+                assert sorted(p.location for p in peaks) == sorted(
+                    (float(i), float(j)) for i, j in cells
+                )
+                for peak in peaks:
+                    i, j = (int(x) for x in peak.location)
+                    assert peak.value == vals[i, j]
+            total += len(cells)
+        assert total > 200
+
     def test_wrong_output_attached_with_base_params(self):
         base = RouterParams(40, 1.0, 0.0)
         grid = ScanGrid((15.5, 18.0, 26), (3.1, 3.44, 18), "phase")
@@ -223,6 +315,57 @@ class TestRefine:
     def test_rejects_start_outside_bounds(self):
         with pytest.raises(ValueError):
             refine(lambda t, p: 0.0, start=(2.0, 0.5), bounds=((0.0, 1.0), (0.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "objective, start, bounds, initial_step",
+        [
+            (lambda t, p: -((t - 1.3) ** 2 + (p - 2.1) ** 2), (0.5, 0.5), ((0.0, 3.0), (0.0, 4.0)),
+             None),
+            (lambda t, p: 5.0, (1.0, 2.0), ((0.0, 3.0), (0.0, 3.0)), None),
+            (lambda t, p: float(np.sin(3 * t) * np.cos(2 * p)), (0.3, 2.2),
+             ((0.0, 3.0), (0.0, 3.0)), None),
+            (lambda t, p: float(np.sin(3 * t) * np.cos(2 * p)), (2.9, 0.1),
+             ((0.0, 3.0), (0.0, 3.0)), (0.4, 0.05)),
+            (lambda t, p: t + p, (0.5, 0.5), ((0.0, 1.0), (0.0, 1.0)), None),
+            # The optimum (5, -1) lies outside: the ascent ends on the corner (3, 0).
+            (lambda t, p: -((t - 5.0) ** 2 + (p + 1.0) ** 2), (1.0, 2.0),
+             ((0.0, 3.0), (0.0, 3.0)), None),
+            (lambda t, phi: average_fidelity(RouterParams(20, 1.0, phi), t), (18.4, 4.70),
+             ((17.0, 20.0), (4.4, 5.0)), None),
+        ],
+    )
+    def test_matches_former_loop(self, objective, start, bounds, initial_step):
+        result = refine(objective, start, bounds, initial_step=initial_step)
+        point, value, evaluations = refine_loop_reference(objective, start, bounds, initial_step)
+        assert result.point == point
+        assert result.value == value
+        assert result.evaluations == evaluations
+
+    @pytest.mark.parametrize(
+        "initial_step, tol",
+        [
+            (None, 0.0),
+            (None, -1e-4),
+            (None, math.nan),
+            (None, math.inf),
+            ((math.inf, 0.1), 1e-4),
+            ((0.1, math.nan), 1e-4),
+            ((0.0, 0.1), 1e-4),
+            ((0.1, -0.1), 1e-4),
+        ],
+    )
+    def test_rejects_bad_tol_or_step(self, initial_step, tol):
+        # tol = 0 or an infinite step used to loop forever; NaN or non-positive
+        # values used to skip the refinement silently.
+        calls = []
+
+        def objective(t, p):
+            calls.append((t, p))
+            return t
+
+        with pytest.raises(ValueError, match="finite and > 0"):
+            refine(objective, (0.5, 0.5), ((0.0, 1.0), (0.0, 1.0)), initial_step, tol)
+        assert calls == []
 
     def test_respects_bounds(self):
         result = refine(
