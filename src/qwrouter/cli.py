@@ -57,6 +57,21 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _surface_csv(ts: np.ndarray, ps: np.ndarray, values: np.ndarray,
+                 wrong: np.ndarray) -> str:
+    """CSV text ``t,param,fidelity,p_wrong``, one line per cell, t-major.
+
+    Formats Python floats from ``tolist()``, whose ``repr`` equals ``_fmt`` of
+    the float64 cell, so whole lines are built without numpy scalar indexing.
+    """
+    cols = [f",{p!r}," for p in ps.tolist()]
+    lines = ["t,param,fidelity,p_wrong"]
+    for t, row, wrow in zip(ts.tolist(), values.tolist(), wrong.tolist()):
+        prefix = repr(t)
+        lines.extend([f"{prefix}{c}{f!r},{w!r}" for c, f, w in zip(cols, row, wrow)])
+    return "\n".join(lines) + "\n"
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
@@ -198,13 +213,7 @@ def scan_cmd(kind, n, beta, phi, t_min, t_max, t_steps, param_min, param_max,
     for j, p in enumerate(ps):
         pp = _with_param(params, kind, p)
         wrong[:, j] = np.clip(np.abs(u_element_curve(pp, ts, 5, 0)) ** 2, 0.0, 1.0)
-    lines = ["t,param,fidelity,p_wrong"]
-    for i, t in enumerate(ts):
-        for j, p in enumerate(ps):
-            lines.append(
-                f"{_fmt(t)},{_fmt(p)},{_fmt(surface.values[i, j])},{_fmt(wrong[i, j])}"
-            )
-    _emit("\n".join(lines) + "\n", output)
+    _emit(_surface_csv(ts, ps, surface.values, wrong), output)
 
 
 @main.command("table1")

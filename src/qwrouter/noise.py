@@ -47,8 +47,9 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy import special
+# scipy.special and numpy.polynomial are imported inside the von Mises functions that
+# use them: they would be most of the cost of ``import qwrouter``, and nothing else
+# needs them.
 
 from .dynamics import PureState
 from .hamiltonian import RouterParams, reduced_hamiltonians
@@ -223,6 +224,8 @@ def bessel_i0(k: float) -> float:
     ``inf`` beyond k ~ 713 (float64 limit) — the scaled form is used
     internally wherever large concentrations appear.
     """
+    from scipy import special
+
     k = float(k)
     if not math.isfinite(k) or k < 0.0:
         raise ValueError("k must be finite and >= 0")
@@ -235,6 +238,8 @@ def von_mises_pdf(eps, k: float):
     Accepts scalars or arrays of ``eps`` (radians); any real value is valid
     since the density is 2*pi-periodic.
     """
+    from scipy import special
+
     k = float(k)
     if not math.isfinite(k) or k < 0.0:
         raise ValueError("k must be finite and >= 0")
@@ -248,6 +253,8 @@ def von_mises_pdf(eps, k: float):
 @lru_cache(maxsize=32)
 def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss–Legendre nodes and weights on ``[-1, 1]``, built once per count."""
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(points)
     x.setflags(write=False)
     w.setflags(write=False)

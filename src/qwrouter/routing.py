@@ -29,7 +29,6 @@ __all__ = [
     "SuperpositionParams",
     "SuperpositionGrid",
     "DensityMatrix",
-    "FidelityCurve",
     "input_state",
     "target_state",
     "transition_probability",
@@ -129,31 +128,6 @@ class DensityMatrix:
     def from_pure(cls, psi: PureState) -> "DensityMatrix":
         a = psi.amplitudes
         return cls(np.outer(a, a.conj()))
-
-
-@dataclass(frozen=True, eq=False)
-class FidelityCurve:
-    """Fidelity-versus-time record (container for scan/noise curve data)."""
-
-    times: np.ndarray
-    values: np.ndarray
-    params: RouterParams
-    input_desc: str = ""
-    target_desc: str = ""
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or values.shape != times.shape:
-            raise ValueError("times and values must be 1-d and the same length")
-        if times.size > 1 and np.any(np.diff(times) < 0):
-            raise ValueError("times must be sorted ascending")
-        if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
-            raise ValueError("fidelity values must lie in [0, 1] (within 1e-12)")
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
 
 
 @lru_cache(maxsize=512)
@@ -289,7 +263,8 @@ def _descend(f: Callable[[float, float], float], x: float, y: float, best: float
     skipped), and keeps every move that lowers ``best``; a sweep without one
     halves both steps, until both are below ``tol``.
     """
-    (x_lo, x_hi), (y_lo, y_hi) = bounds
+    # A clamped move takes the bound itself, so int bounds must not give int coordinates.
+    x_lo, x_hi, y_lo, y_hi = (float(b) for pair in bounds for b in pair)
     while step_x >= tol or step_y >= tol:
         improved = False
         for d in (step_x, -step_x):

@@ -99,6 +99,42 @@ class TestScanCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("kind", ["phase", "weight"])
+    @pytest.mark.parametrize("objective", ["localized", "average", "worst_case"])
+    def test_writer_matches_former_cell_loop(self, runner, monkeypatch, kind, objective):
+        args = ["scan", kind, "--n", "20", "--t-min", "17", "--t-max", "19.5",
+                "--t-steps", "6", "--param-min", "0.5", "--param-max", "4.75",
+                "--param-steps", "5", "--objective", objective,
+                "--alpha-points", "5", "--chi-points", "8"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        monkeypatch.setattr(cli, "_surface_csv", surface_csv_reference)
+        reference = runner.invoke(main, args)
+        assert reference.exit_code == 0
+        assert result.output == reference.output
+        assert len(result.output.split("\n")) == 1 + 6 * 5 + 1
+
+    def test_writer_matches_former_cell_loop_on_special_floats(self):
+        specials = [-0.0, 0.0, 1.0, 5e-324, 1e16, 0.1 + 0.2, math.nan]
+        ts = np.array(specials[:4])
+        ps = np.array(specials[3:])
+        values = np.resize(np.array(specials), (4, 4))
+        wrong = values[::-1, ::-1].copy()
+        text = cli._surface_csv(ts, ps, values, wrong)
+        assert text == surface_csv_reference(ts, ps, values, wrong)
+        cells = set(text.replace("\n", ",").split(","))
+        assert {"-0.0", "0.0", "1.0", "5e-324", "1e+16", "0.30000000000000004", "nan"} <= cells
+
+
+def surface_csv_reference(ts, ps, values, wrong):
+    """The former scan writer: ``repr(float(x))`` of every numpy cell."""
+    fmt = lambda x: repr(float(x))
+    lines = ["t,param,fidelity,p_wrong"]
+    for i, t in enumerate(ts):
+        for j, p in enumerate(ps):
+            lines.append(f"{fmt(t)},{fmt(p)},{fmt(values[i, j])},{fmt(wrong[i, j])}")
+    return "\n".join(lines) + "\n"
+
 
 class TestTable1Command:
     def test_single_row(self, runner):

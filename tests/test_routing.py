@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qwrouter import (
     DensityMatrix,
-    FidelityCurve,
     FullGraphLayout,
     PureState,
     RouterParams,
@@ -441,32 +440,6 @@ class TestMixedStateFidelity:
             mixed_state_fidelity(
                 DensityMatrix(np.eye(2, dtype=complex) / 2),
                 DensityMatrix(np.eye(3, dtype=complex) / 3),
-            )
-
-
-class TestFidelityCurve:
-    def test_accepts_valid(self):
-        c = FidelityCurve(
-            times=np.array([0.0, 1.0, 2.0]),
-            values=np.array([0.0, 0.5, 1.0]),
-            params=RouterParams(4, 1.0, 0.0),
-        )
-        assert c.times.size == 3
-
-    def test_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError):
-            FidelityCurve(
-                times=np.array([0.0, 1.0]),
-                values=np.array([0.0, 1.5]),
-                params=RouterParams(4, 1.0, 0.0),
-            )
-
-    def test_rejects_unsorted_times(self):
-        with pytest.raises(ValueError):
-            FidelityCurve(
-                times=np.array([1.0, 0.0]),
-                values=np.array([0.0, 0.5]),
-                params=RouterParams(4, 1.0, 0.0),
             )
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -375,3 +376,17 @@ class TestRefine:
         )
         assert result.point == (1.0, 1.0)
         assert result.value == pytest.approx(2.0)
+
+    def test_int_bounds_give_float_point(self):
+        # A clamped move lands on the bound itself; int bounds once gave (1, 1).
+        seen = []
+
+        def objective(t, p):
+            seen.append((t, p))
+            return t + p
+
+        result = refine(objective, start=(0.5, 0.5), bounds=((0, 1), (0, 1)))
+        assert result.point == (1.0, 1.0)
+        assert all(type(x) is float for x in result.point)
+        assert all(type(x) is float for point in seen for x in point)
+        assert json.dumps(result.point) == "[1.0, 1.0]"
