@@ -37,7 +37,6 @@ from .routing import (
     min_fidelity,
     target_state,
     transition_probability,
-    u_element_curve,
 )
 from .search import ScanGrid, _with_param, refine, scan
 
@@ -212,7 +211,7 @@ def scan_cmd(kind, n, beta, phi, t_min, t_max, t_steps, param_min, param_max,
     wrong = np.empty_like(surface.values)
     for j, p in enumerate(ps):
         pp = _with_param(params, kind, p)
-        wrong[:, j] = np.clip(np.abs(u_element_curve(pp, ts, 5, 0)) ** 2, 0.0, 1.0)
+        wrong[:, j] = transition_probability(pp, ts, 1, 6)
     _emit(_surface_csv(ts, ps, surface.values, wrong), output)
 
 
@@ -263,7 +262,6 @@ def table1_cmd(row, alpha_points, chi_points, output):
 @click.option("--t-max", type=float, default=10.0, show_default=True)
 @click.option("--t-steps", type=int, default=101, show_default=True)
 @click.option("--k", type=float, default=None, help="von Mises concentration (required for vonmises).")
-@click.option("--quad-points", type=int, default=129, show_default=True)
 @click.option("--theta", type=float, default=1.0, show_default=True)
 @click.option("--sigma", type=float, default=0.4, show_default=True)
 @click.option("--mu", type=float, default=None, help="OU mean; defaults to --phi.")
@@ -271,8 +269,8 @@ def table1_cmd(row, alpha_points, chi_points, output):
 @click.option("--trajectories", type=int, default=2000, show_default=True)
 @click.option("--seed", type=int, default=777, show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
-def noise_cmd(model, n, beta, phi, alpha, chi, t_max, t_steps, k, quad_points,
-              theta, sigma, mu, dt, trajectories, seed, output):
+def noise_cmd(model, n, beta, phi, alpha, chi, t_max, t_steps, k, theta, sigma, mu,
+              dt, trajectories, seed, output):
     """Noisy fidelity curve as CSV rows ``t,fidelity,stderr``.
 
     The stderr column is filled for the trajectory-averaged (ou) model and
@@ -292,7 +290,7 @@ def noise_cmd(model, n, beta, phi, alpha, chi, t_max, t_steps, k, quad_points,
         if k is None:
             raise click.UsageError("--k is required for the vonmises model")
         try:
-            vm = VonMisesSpec(k=k, quadrature_points=quad_points)
+            vm = VonMisesSpec(k=k)
         except ValueError as exc:
             raise click.UsageError(str(exc))
         unconverged = []

@@ -45,10 +45,6 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def overlap(self, other: "PureState") -> complex:
-        """Inner product ``<self|other>``."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True, eq=False)
 class Propagator:
@@ -92,10 +88,27 @@ def _hermitian_entries(h: HermitianMatrix | np.ndarray) -> np.ndarray:
     return arr
 
 
-def spectrum(h: HermitianMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors ``(w, q)`` of a Hermitian matrix, ``h = q diag(w) q^dag``."""
-    w, q = np.linalg.eigh(_hermitian_entries(h))
-    return w, q
+def _unitaries(h: np.ndarray, t: float) -> np.ndarray:
+    """``exp(-i h t)`` for Hermitian ``h`` of shape ``(..., d, d)``, with any leading batch shape."""
+    w, q = np.linalg.eigh(h)
+    return (q * np.exp(-1j * w * t)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+
+
+def _evolved(h: np.ndarray, t: float, amps: np.ndarray) -> np.ndarray:
+    """``exp(-i h t) amps`` for Hermitian ``h`` of shape ``(..., d, d)`` and ``amps`` of
+    shape ``(d,)`` or ``(..., d)``, without forming the propagators."""
+    w, q = np.linalg.eigh(h)
+    coeff = np.exp(-1j * w * t) * (q.conj().swapaxes(-1, -2) @ amps[..., None])[..., 0]
+    return (q @ coeff[..., None])[..., 0]
+
+
+def _finite_times(t) -> np.ndarray:
+    """``t`` as a float array; a NaN or infinite time raises ``ValueError``."""
+    t = np.asarray(t, dtype=float)
+    # math.isfinite skips a numpy reduction on the scalar time every routing statistic passes.
+    if not (math.isfinite(t) if t.ndim == 0 else np.isfinite(t).all()):
+        raise ValueError("t must be finite")
+    return t
 
 
 def propagator(h: HermitianMatrix | np.ndarray, t: float) -> Propagator:
@@ -104,12 +117,8 @@ def propagator(h: HermitianMatrix | np.ndarray, t: float) -> Propagator:
     Rejects non-finite ``t`` and inputs whose conjugate asymmetry exceeds
     1e-10.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    w, q = spectrum(h)
-    u = (q * np.exp(-1j * w * t)) @ q.conj().T
-    return Propagator(u, t)
+    t = _finite_times(t)
+    return Propagator(_unitaries(_hermitian_entries(h), t), t)
 
 
 def evolve(h: HermitianMatrix | np.ndarray, t: float, psi0: PureState) -> PureState:
@@ -117,12 +126,7 @@ def evolve(h: HermitianMatrix | np.ndarray, t: float, psi0: PureState) -> PureSt
     entries = _hermitian_entries(h)
     if psi0.dim != entries.shape[0]:
         raise ValueError("state dimension does not match Hamiltonian")
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    w, q = np.linalg.eigh(entries)
-    amps = q @ (np.exp(-1j * w * t) * (q.conj().T @ psi0.amplitudes))
-    return PureState(amps)
+    return PureState(_evolved(entries, _finite_times(t), psi0.amplitudes))
 
 
 def evolve_piecewise(
@@ -141,14 +145,9 @@ def evolve_piecewise(
     hs = list(h_sequence)
     if not hs:
         raise ValueError("h_sequence must not be empty")
-    amps = psi0.amplitudes
     for h in hs:
-        entries = _hermitian_entries(h)
-        if entries.shape[0] != amps.shape[0]:
-            raise ValueError("dimension mismatch in h_sequence")
-        w, q = np.linalg.eigh(entries)
-        amps = q @ (np.exp(-1j * w * dt) * (q.conj().T @ amps))
-    return PureState(amps)
+        psi0 = evolve(h, dt, psi0)
+    return psi0
 
 
 def verify_reduction(n_max: int, trials: int, rng: np.random.Generator) -> list[float]:

@@ -145,10 +145,6 @@ class FullGraphLayout:
     def internal_indices(self) -> range:
         return range(0, self.n_outputs + 1)
 
-    @property
-    def external_indices(self) -> range:
-        return range(self.n_outputs + 1, 2 * (self.n_outputs + 1))
-
     def external_for(self, internal: int) -> int:
         """Index of the external vertex attached to ``internal``."""
         return self.n_outputs + 1 + internal

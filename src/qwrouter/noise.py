@@ -51,7 +51,7 @@ import numpy as np
 # use them: they would be most of the cost of ``import qwrouter``, and nothing else
 # needs them.
 
-from .dynamics import PureState
+from .dynamics import PureState, _evolved, _finite_times, _unitaries
 from .hamiltonian import RouterParams, reduced_hamiltonians
 from .routing import (
     DensityMatrix,
@@ -80,6 +80,11 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _WARN_THRESHOLD = 1e-6
+# The static-noise quadrature starts at 129 Gauss–Legendre nodes and doubles them up
+# to 6 times, stopping once a doubling moves the result by at most 1e-8.
+_QUADRATURE_POINTS = 129
+_MAX_DOUBLINGS = 6
+_QUADRATURE_TOL = 1e-8
 _ROUNDOFF = 2.0**-53  # float64 unit roundoff: the Fourier step's tail target
 _MAX_PHASE_NODES = 4096  # Fourier-step phase nodes: |beta| dt up to about 560
 _HARMONIC_BLOCK = 32  # harmonics per GEMM in a Fourier step (bounds scratch)
@@ -94,32 +99,12 @@ class VonMisesSpec:
     k : float
         Concentration (>= 0).  ``k = 0`` is the uniform circular density;
         large ``k`` approaches a Gaussian of variance ``1 / k``.
-    quadrature_points : int
-        Starting Gauss–Legendre node count (>= 8); doubled adaptively.
-    tol : float
-        Stability target for the doubling loop.
-    max_doublings : int
-        Budget for the doubling loop before flagging non-convergence.
     """
 
     k: float
-    quadrature_points: int = 129
-    tol: float = 1e-8
-    max_doublings: int = 6
 
     def __post_init__(self) -> None:
-        k = float(self.k)
-        if not (math.isfinite(k) and k >= 0.0):
-            raise ValueError("k must be finite and >= 0")
-        if int(self.quadrature_points) < 8:
-            raise ValueError("quadrature_points must be >= 8")
-        if not (self.tol > 0.0):
-            raise ValueError("tol must be positive")
-        if int(self.max_doublings) < 0:
-            raise ValueError("max_doublings must be >= 0")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "quadrature_points", int(self.quadrature_points))
-        object.__setattr__(self, "max_doublings", int(self.max_doublings))
+        object.__setattr__(self, "k", _check_k(self.k))
 
 
 @dataclass(frozen=True)
@@ -139,23 +124,19 @@ class OUSpec:
     seed: int = 777
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(float(self.theta)) and self.theta > 0.0):
-            raise ValueError("theta must be finite and > 0")
         if self.mu is not None and not math.isfinite(float(self.mu)):
             raise ValueError("mu must be finite")
         if not (math.isfinite(float(self.sigma_vol)) and self.sigma_vol >= 0.0):
             raise ValueError("sigma_vol must be finite and >= 0")
-        if not (math.isfinite(float(self.dt)) and self.dt > 0.0):
-            raise ValueError("dt must be finite and > 0")
         if int(self.trajectories) < 1:
             raise ValueError("trajectories must be >= 1")
         seed = int(self.seed)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "theta", _positive("theta", self.theta))
         object.__setattr__(self, "mu", None if self.mu is None else float(self.mu))
         object.__setattr__(self, "sigma_vol", float(self.sigma_vol))
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", _positive("dt", self.dt))
         object.__setattr__(self, "trajectories", int(self.trajectories))
         object.__setattr__(self, "seed", seed)
 
@@ -209,12 +190,35 @@ class EnsembleState(DensityMatrix):
         """Mean fidelity against a pure target and its Monte Carlo standard error."""
         if target.dim != self.dim:
             raise ValueError("target dimension mismatch")
-        overlaps = self.trajectory_states @ target.amplitudes.conj()
-        f = np.abs(overlaps) ** 2
-        n = f.size
-        if n < 2:
-            raise ValueError("standard error undefined for fewer than 2 trajectories")
-        return float(f.mean()), float(f.std(ddof=1) / math.sqrt(n))
+        return _mean_and_stderr(self.trajectory_states, target.amplitudes.conj())
+
+
+def _mean_and_stderr(states: np.ndarray, w_conj: np.ndarray) -> tuple[float, float]:
+    """Mean of ``|<w|psi_b>|^2`` over the rows ``psi_b`` of ``states`` and its standard error."""
+    f = np.abs(states @ w_conj) ** 2
+    if f.size < 2:
+        raise ValueError("standard error undefined for fewer than 2 trajectories")
+    return float(f.mean()), float(f.std(ddof=1) / math.sqrt(f.size))
+
+
+def _mixture(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Density matrix ``sum_b weights[b] |psi_b><psi_b|`` of the rows of ``states``."""
+    rho = np.einsum("p,pi,pj->ij", weights, states, states.conj())
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _check_k(k: float) -> float:
+    k = float(k)
+    if not (math.isfinite(k) and k >= 0.0):
+        raise ValueError("k must be finite and >= 0")
+    return k
+
+
+def _positive(name: str, x: float) -> float:
+    x = float(x)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{name} must be finite and > 0")
+    return x
 
 
 def bessel_i0(k: float) -> float:
@@ -226,10 +230,7 @@ def bessel_i0(k: float) -> float:
     """
     from scipy import special
 
-    k = float(k)
-    if not math.isfinite(k) or k < 0.0:
-        raise ValueError("k must be finite and >= 0")
-    return float(special.i0(k))
+    return float(special.i0(_check_k(k)))
 
 
 def von_mises_pdf(eps, k: float):
@@ -240,9 +241,7 @@ def von_mises_pdf(eps, k: float):
     """
     from scipy import special
 
-    k = float(k)
-    if not math.isfinite(k) or k < 0.0:
-        raise ValueError("k must be finite and >= 0")
+    k = _check_k(k)
     eps_arr = np.asarray(eps, dtype=float)
     vals = np.exp(k * (np.cos(eps_arr) - 1.0)) / (_TWO_PI * special.i0e(k))
     if np.isscalar(eps) or eps_arr.ndim == 0:
@@ -273,9 +272,9 @@ def _nodes_and_weights(k: float, points: int) -> tuple[np.ndarray, np.ndarray]:
 def _adaptive_average(
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray | float],
     k: float,
-    points: int,
-    tol: float,
-    max_doublings: int,
+    points: int = _QUADRATURE_POINTS,
+    tol: float = _QUADRATURE_TOL,
+    max_doublings: int = _MAX_DOUBLINGS,
 ):
     """Double quadrature nodes until ``fn``'s output stabilizes.
 
@@ -283,46 +282,39 @@ def _adaptive_average(
     after an exhausted budget if the last doubling moved the result by no
     more than the 1e-6 warning threshold.
     """
-    eps, wts = _nodes_and_weights(k, points)
-    prev = fn(eps, wts)
-    used = points
+    prev = fn(*_nodes_and_weights(k, points))
     delta = math.inf
     for _ in range(max_doublings):
         points *= 2
-        eps, wts = _nodes_and_weights(k, points)
-        cur = fn(eps, wts)
+        cur = fn(*_nodes_and_weights(k, points))
         delta = float(np.max(np.abs(np.asarray(cur) - np.asarray(prev))))
         prev = cur
-        used = points
         if delta <= tol:
-            return prev, True, used
-    return prev, delta <= _WARN_THRESHOLD, used
+            return prev, True, points
+    return prev, delta <= _WARN_THRESHOLD, points
 
 
-def _states_at_phases(
-    params: RouterParams, t: float, phis: np.ndarray, psi0: np.ndarray
-) -> np.ndarray:
-    """Evolved states ``exp(-i H(phi) t) psi0`` for a batch of phases; shape (len(phis), 6)."""
-    w, q = np.linalg.eigh(reduced_hamiltonians(params.n_outputs, params.beta, phis))
-    coeff = np.einsum("pji,j->pi", q.conj(), psi0)
-    return np.einsum("pij,pj->pi", q, np.exp(-1j * w * t) * coeff)
+def _static_average(params: RouterParams, t: float, amps0: np.ndarray, k: float,
+                    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray | float]):
+    """``_adaptive_average`` of ``reduce(states, weights)``, where row ``p`` of
+    ``states`` is ``exp(-i H(phi + eps_p) t) amps0`` at quadrature node ``eps_p``."""
+    t = _finite_times(t)
+
+    def quadrature(eps: np.ndarray, wts: np.ndarray):
+        h = reduced_hamiltonians(params.n_outputs, params.beta, params.phi + eps)
+        return reduce(_evolved(h, t, amps0), wts)
+
+    return _adaptive_average(quadrature, k)
 
 
 def static_noise_fidelity(
     params: RouterParams, t: float, sp: SuperpositionParams, vm: VonMisesSpec
 ) -> StaticNoiseFidelity:
     """Noise-averaged routing fidelity ``∫ p_k(eps) |<w|U(phi+eps)|psi0>|^2 d eps``."""
-    t = float(t)
-    psi0 = input_state(sp).amplitudes
-    w_target = target_state(sp).amplitudes.conj()
-
-    def quadrature(eps: np.ndarray, wts: np.ndarray) -> float:
-        states = _states_at_phases(params, t, params.phi + eps, psi0)
-        f = np.abs(states @ w_target) ** 2
-        return float(np.dot(wts, f))
-
-    value, converged, used = _adaptive_average(
-        quadrature, vm.k, vm.quadrature_points, vm.tol, vm.max_doublings
+    w_conj = target_state(sp).amplitudes.conj()
+    value, converged, used = _static_average(
+        params, t, input_state(sp).amplitudes, vm.k,
+        lambda states, wts: float(np.dot(wts, np.abs(states @ w_conj) ** 2)),
     )
     return StaticNoiseFidelity(min(max(value, 0.0), 1.0), converged, used)
 
@@ -331,17 +323,7 @@ def static_noise_state(
     params: RouterParams, t: float, psi0: PureState, vm: VonMisesSpec
 ) -> NoiseAveragedState:
     """Noise-averaged output state ``∫ p_k(eps) U(phi+eps) |psi0><psi0| U^dag d eps``."""
-    t = float(t)
-    amps0 = psi0.amplitudes
-
-    def quadrature(eps: np.ndarray, wts: np.ndarray) -> np.ndarray:
-        states = _states_at_phases(params, t, params.phi + eps, amps0)
-        rho = np.einsum("p,pi,pj->ij", wts, states, states.conj())
-        return 0.5 * (rho + rho.conj().T)
-
-    rho, converged, used = _adaptive_average(
-        quadrature, vm.k, vm.quadrature_points, vm.tol, vm.max_doublings
-    )
+    rho, converged, used = _static_average(params, t, psi0.amplitudes, vm.k, _mixture)
     return NoiseAveragedState(rho, converged, used)
 
 
@@ -358,8 +340,6 @@ def ou_sample_path(spec: OUSpec, steps: int, trajectory: int = 0) -> np.ndarray:
     """
     if int(steps) < 1:
         raise ValueError("steps must be >= 1")
-    if spec.mu is None:
-        raise ValueError("mu must be set for standalone path sampling")
     return _phase_paths(spec, spec.mu, int(steps), [int(trajectory)])[0]
 
 
@@ -367,18 +347,19 @@ def ou_stationary_draws(spec: OUSpec, count: int) -> np.ndarray:
     """Initial values ``X_0`` of trajectories ``0 .. count-1`` (stationary samples)."""
     if int(count) < 1:
         raise ValueError("count must be >= 1")
-    if spec.mu is None:
-        raise ValueError("mu must be set for standalone sampling")
     return _phase_paths(spec, spec.mu, 1, range(int(count)))[:, 0]
 
 
 def _phase_paths(
-    spec: OUSpec, mu: float, steps: int, trajectories: Sequence[int] | None = None
+    spec: OUSpec, mu: float | None, steps: int, trajectories: Sequence[int] | None = None
 ) -> np.ndarray:
     """Paths of the given trajectory indices (default: all), shape (len, steps).
 
-    Row ``r`` depends only on ``(spec.seed, trajectories[r])``.
+    Row ``r`` depends only on ``(spec.seed, trajectories[r])``.  The standalone
+    samplers pass ``spec.mu``, which must not be None there.
     """
+    if mu is None:
+        raise ValueError("mu must be set for standalone sampling")
     if trajectories is None:
         trajectories = range(spec.trajectories)
     x0 = np.empty(len(trajectories))
@@ -429,33 +410,30 @@ def _step_fourier(n: int, beta: float, dt: float) -> np.ndarray:
             "for the Fourier step; use a smaller dt"
         )
     phis = _TWO_PI * np.arange(nodes) / nodes
-    w, q = np.linalg.eigh(reduced_hamiltonians(n, beta, phis))
-    u = (q * np.exp(-1j * w * dt)[:, None, :]) @ q.conj().transpose(0, 2, 1)
+    u = _unitaries(reduced_hamiltonians(n, beta, phis), dt)
     c = np.fft.fft(u.reshape(nodes, 36), axis=0) / nodes
     return c[np.arange(-cutoff, cutoff + 1) % nodes]
 
 
 def _evolve_ensemble(
-    params: RouterParams,
-    psi0: np.ndarray,
-    spec: OUSpec,
-    mu: float,
-    total_steps: int,
-    snapshot_steps: Sequence[int],
-) -> dict[int, np.ndarray]:
+    params: RouterParams, psi0: np.ndarray, spec: OUSpec, snapshots: Sequence[int]
+) -> list[np.ndarray]:
     """Batched piecewise-constant evolution of all trajectories.
 
-    Each step applies ``U(X_b, dt) = sum_m e^{i m X_b} C_m`` (see
+    The phase reverts to ``spec.mu``, or to the router's phase when that is
+    None.  Each step applies ``U(X_b, dt) = sum_m e^{i m X_b} C_m`` (see
     ``_step_fourier``): one GEMM of the phase powers against the flattened
     ``C_m``, in blocks of ``_HARMONIC_BLOCK`` harmonics, then one batched
-    6x6 matrix-vector product.  Returns a map step-index -> (trajectories, 6)
-    state stack at that step.
+    6x6 matrix-vector product.  Returns the (trajectories, 6) state stack at
+    each of the increasing step indices ``snapshots``, in order.
     """
-    wanted = sorted(set(int(s) for s in snapshot_steps))
+    if spec.trajectories < 2:
+        raise ValueError("need at least 2 trajectories for ensemble statistics")
+    mu = params.phi if spec.mu is None else spec.mu
+    total_steps = snapshots[-1]
+    wanted = set(snapshots)
     psi = np.broadcast_to(psi0, (spec.trajectories, psi0.shape[0])).copy()
-    out: dict[int, np.ndarray] = {}
-    if wanted and wanted[0] == 0:
-        out[0] = psi.copy()
+    out = [psi] if 0 in wanted else []
     if total_steps == 0:
         return out
     coeffs = _step_fourier(params.n_outputs, params.beta, spec.dt)
@@ -464,7 +442,6 @@ def _evolve_ensemble(
     # powers[j, b] = e^{i (lo + j - M) X_b} for the block of harmonics starting at lo.
     powers = np.empty((min(harmonics, _HARMONIC_BLOCK), spec.trajectories), dtype=complex)
     paths = _phase_paths(spec, mu, total_steps)
-    remaining = [s for s in wanted if s > 0]
     for m in range(total_steps):
         x = paths[:, m]
         z = np.exp(1j * x)
@@ -476,9 +453,8 @@ def _evolve_ensemble(
                 np.multiply(powers[j - 1], z, out=powers[j])
             step = step + powers[:block.shape[0]].T @ block
         psi = np.einsum("bij,bj->bi", step.reshape(-1, 6, 6), psi)
-        if remaining and m + 1 == remaining[0]:
-            out[m + 1] = psi.copy()
-            remaining.pop(0)
+        if m + 1 in wanted:
+            out.append(psi)
     return out
 
 
@@ -490,17 +466,11 @@ def ou_ensemble_state(
     The result's ``fidelity_with_stderr`` reports the mean fidelity against a
     pure target together with its Monte Carlo standard error.
     """
-    if spec.trajectories < 2:
-        raise ValueError("need at least 2 trajectories for ensemble statistics")
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and >= 0")
-    mu = params.phi if spec.mu is None else spec.mu
-    steps = int(round(t / spec.dt))
-    snaps = _evolve_ensemble(params, psi0.amplitudes, spec, mu, steps, [steps])
-    states = snaps[steps]
-    rho = np.einsum("bi,bj->ij", states, states.conj()) / states.shape[0]
-    return EnsembleState(0.5 * (rho + rho.conj().T), states)
+    (states,) = _evolve_ensemble(params, psi0.amplitudes, spec, [int(round(t / spec.dt))])
+    return EnsembleState(_mixture(states, np.full(len(states), 1.0 / len(states))), states)
 
 
 def ou_fidelity_curve(
@@ -516,8 +486,6 @@ def ou_fidelity_curve(
     Snapshot times are the requested uniform grid snapped to whole steps of
     ``spec.dt``; returns ``(times, fidelity, stderr)``.
     """
-    if spec.trajectories < 2:
-        raise ValueError("need at least 2 trajectories for ensemble statistics")
     if not (math.isfinite(float(t_max)) and t_max > 0.0):
         raise ValueError("t_max must be positive")
     if int(snapshots) < 2:
@@ -530,20 +498,10 @@ def ou_fidelity_curve(
         int(round(j * t_max / (snapshots - 1) / spec.dt)) for j in range(snapshots)
     ]
     wanted = sorted(set(min(max(s, 0), total_steps) for s in grid))
-    states = _evolve_ensemble(
-        params, psi0.amplitudes, spec, params.phi if spec.mu is None else spec.mu,
-        total_steps, wanted,
-    )
     w_conj = target.amplitudes.conj()
-    times = np.empty(len(wanted))
-    values = np.empty(len(wanted))
-    errors = np.empty(len(wanted))
-    for idx, step in enumerate(wanted):
-        f = np.abs(states[step] @ w_conj) ** 2
-        times[idx] = step * spec.dt
-        values[idx] = f.mean()
-        errors[idx] = f.std(ddof=1) / math.sqrt(f.size)
-    return times, values, errors
+    stats = np.array([_mean_and_stderr(states, w_conj)
+                      for states in _evolve_ensemble(params, psi0.amplitudes, spec, wanted)])
+    return np.array(wanted) * spec.dt, stats[:, 0], stats[:, 1]
 
 
 def noise_equivalence(k: float, theta: float = 1.0) -> tuple[float, tuple[float, float]]:
@@ -552,19 +510,13 @@ def noise_equivalence(k: float, theta: float = 1.0) -> tuple[float, tuple[float,
     ``sigma^2 = 1 / k``; the matched process at mean-reversion ``theta`` has
     ``Sigma = sqrt(2 theta / k)`` so that ``Sigma^2 / (2 theta) = 1 / k``.
     """
-    if not (math.isfinite(float(k)) and k > 0.0):
-        raise ValueError("k must be finite and > 0")
-    if not (math.isfinite(float(theta)) and theta > 0.0):
-        raise ValueError("theta must be finite and > 0")
-    sigma_sq = 1.0 / float(k)
-    return sigma_sq, (float(theta), math.sqrt(2.0 * float(theta) * sigma_sq))
+    sigma_sq = 1.0 / _positive("k", k)
+    theta = _positive("theta", theta)
+    return sigma_sq, (theta, math.sqrt(2.0 * theta * sigma_sq))
 
 
 def noise_equivalence_inverse(theta: float, sigma_vol: float) -> tuple[float, float]:
     """Map OU parameters to the equivalent Gaussian variance and concentration ``k``."""
-    if not (math.isfinite(float(theta)) and theta > 0.0):
-        raise ValueError("theta must be finite and > 0")
-    if not (math.isfinite(float(sigma_vol)) and sigma_vol > 0.0):
-        raise ValueError("sigma_vol must be finite and > 0")
-    sigma_sq = float(sigma_vol) ** 2 / (2.0 * float(theta))
+    theta = _positive("theta", theta)
+    sigma_sq = _positive("sigma_vol", sigma_vol) ** 2 / (2.0 * theta)
     return sigma_sq, 1.0 / sigma_sq

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import PureState
+from .dynamics import PureState, _finite_times
 from .hamiltonian import TWO_PI, RouterParams, build_reduced_hamiltonian
 
 __all__ = [
@@ -144,9 +144,11 @@ def u_element_curve(params: RouterParams, ts, rows, cols) -> np.ndarray:
 
     ``rows``/``cols`` are ints or equal-length index lists; the result has
     the shape of ``ts`` for ints and ``(len(rows),) + shape(ts)`` for lists.
+    Every routing statistic reads its elements here, so a non-finite time
+    raises ``ValueError`` for all of them.
     """
+    ts = _finite_times(ts)
     w, q = _spectrum(params)
-    ts = np.asarray(ts, dtype=float)
     return (q[rows] * np.conj(q[cols])) @ np.exp(-1j * np.multiply.outer(w, ts))
 
 
@@ -177,12 +179,16 @@ def _check_label(label: int) -> int:
 
 
 def transition_probability(
-    params: RouterParams, t: float, from_label: int, to_label: int
-) -> float:
-    """``|<to| exp(-i H_red t) |from>|^2`` over reduced-basis labels 1..6."""
+    params: RouterParams, t, from_label: int, to_label: int
+) -> float | np.ndarray:
+    """``|<to| exp(-i H_red t) |from>|^2`` over reduced-basis labels 1..6.
+
+    A float for a scalar ``t``; an array for a 1-d array of times.
+    """
     row = _check_label(to_label)
     col = _check_label(from_label)
-    return _clamp01(abs(u_element_curve(params, t, row, col)) ** 2)
+    p = np.clip(np.abs(u_element_curve(params, t, row, col)) ** 2, 0.0, 1.0)
+    return float(p) if p.ndim == 0 else p
 
 
 def per_wrong_output_probability(params: RouterParams, t: float) -> float:

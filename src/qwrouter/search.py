@@ -15,7 +15,6 @@ from .routing import (
     average_fidelity,
     min_fidelity,
     transition_probability,
-    u_element_curve,
 )
 
 __all__ = [
@@ -135,8 +134,7 @@ def scan(
     if objective == "localized":
         for j, p in enumerate(ps):
             params = _with_param(params_base, grid.param_kind, p)
-            out[:, j] = np.abs(u_element_curve(params, ts, 3, 0)) ** 2
-        np.clip(out, 0.0, 1.0, out=out)
+            out[:, j] = transition_probability(params, ts, 1, 4)
     else:
         stat = average_fidelity if objective == "average" else min_fidelity
         for j, p in enumerate(ps):

@@ -179,6 +179,18 @@ class TestNoiseCommand:
         )
         assert result.exit_code == 2
 
+    def test_quad_points_option_is_gone(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["noise", "vonmises", "--n", "20", "--k", "2", "--quad-points", "200"]
+        )
+        assert result.exit_code == 2
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"noise": {"quad_points": 200}}))
+        result = runner.invoke(main, ["--config", str(cfg), "noise", "vonmises", "--n", "20",
+                                      "--k", "2"])
+        assert result.exit_code == 2
+        assert "quad_points" in result.output
+
     def test_ou_zero_volatility_matches_noiseless(self, runner):
         result = runner.invoke(
             main,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -117,10 +118,11 @@ class TestSpecValidation:
     def test_vonmises(self):
         with pytest.raises(ValueError):
             VonMisesSpec(-1.0)
-        with pytest.raises(ValueError):
-            VonMisesSpec(1.0, quadrature_points=4)
-        with pytest.raises(ValueError):
-            VonMisesSpec(1.0, tol=0.0)
+
+    def test_vonmises_holds_only_k(self):
+        assert [f.name for f in dataclasses.fields(VonMisesSpec)] == ["k"]
+        with pytest.raises(TypeError):
+            VonMisesSpec(1.0, quadrature_points=200)
 
     def test_ou(self):
         with pytest.raises(ValueError):
@@ -165,15 +167,73 @@ class TestStaticNoiseFidelity:
 
     def test_stable_under_node_count(self):
         a = static_noise_fidelity(PEAK, PEAK_T, SP, VonMisesSpec(2.0))
-        b = static_noise_fidelity(
-            PEAK, PEAK_T, SP, VonMisesSpec(2.0, quadrature_points=200)
+        b, converged, used = _adaptive_average(
+            fidelity_functional(PEAK, PEAK_T, SP), 2.0, points=200
         )
+        assert converged and used >= 400
         assert a == pytest.approx(b, abs=1e-8)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            static_noise_fidelity(PEAK, t, SP, VonMisesSpec(12.5))
+        with pytest.raises(ValueError, match="t must be finite"):
+            static_noise_state(PEAK, t, input_state(SP), VonMisesSpec(12.5))
 
     def test_reports_points_used(self):
         f = static_noise_fidelity(PEAK, 5.0, SP, VonMisesSpec(2.0))
         assert f.points_used >= 129
         assert isinstance(f + 0.0, float)
+
+
+def states_at_phases_reference(params, t, phis, psi0):
+    """The former per-phase route: ``exp(-i H(phi) t) psi0`` for a batch of phases."""
+    w, q = np.linalg.eigh(reduced_hamiltonians(params.n_outputs, params.beta, phis))
+    coeff = np.einsum("pji,j->pi", q.conj(), psi0)
+    return np.einsum("pij,pj->pi", q, np.exp(-1j * w * t) * coeff)
+
+
+def fidelity_functional(params, t, sp):
+    """Quadrature of the routing fidelity over the reference states."""
+    psi0 = input_state(sp).amplitudes
+    w_conj = target_state(sp).amplitudes.conj()
+
+    def quadrature(eps, wts):
+        states = states_at_phases_reference(params, t, params.phi + eps, psi0)
+        return float(np.dot(wts, np.abs(states @ w_conj) ** 2))
+
+    return quadrature
+
+
+def state_functional(params, t, psi0):
+    """Quadrature of the output state over the reference states."""
+    def quadrature(eps, wts):
+        states = states_at_phases_reference(params, t, params.phi + eps, psi0)
+        rho = np.einsum("p,pi,pj->ij", wts, states, states.conj())
+        return 0.5 * (rho + rho.conj().T)
+
+    return quadrature
+
+
+@pytest.mark.parametrize("k", [0.0, 2.0, 12.5, 1000.0, 1e6])
+def test_static_noise_matches_reference_states(k):
+    rng = np.random.default_rng(int(k) + 17)
+    for _ in range(3):
+        params = RouterParams(int(rng.integers(2, 200)), float(rng.uniform(-2.0, 2.0)),
+                              float(rng.uniform(0.0, TWO_PI)))
+        t = float(rng.uniform(0.0, 30.0))
+        sp = SuperpositionParams(float(rng.uniform()), float(rng.uniform(0.0, TWO_PI)))
+        vm = VonMisesSpec(k)
+        f = static_noise_fidelity(params, t, sp, vm)
+        ref, converged, used = _adaptive_average(fidelity_functional(params, t, sp), k)
+        assert abs(f - min(max(ref, 0.0), 1.0)) <= 1e-14
+        assert (f.converged, f.points_used) == (converged, used)
+        state = static_noise_state(params, t, input_state(sp), vm)
+        rho, converged, used = _adaptive_average(
+            state_functional(params, t, input_state(sp).amplitudes), k
+        )
+        assert float(np.max(np.abs(state.entries - rho))) <= 1e-14
+        assert (state.converged, state.points_used) == (converged, used)
 
 
 class TestAdaptiveAverage:
@@ -307,8 +367,10 @@ class TestOUEnsemble:
 
     def test_requires_two_trajectories(self):
         spec = OUSpec(trajectories=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2 trajectories"):
             ou_ensemble_state(PEAK, 1.0, input_state(SP), spec)
+        with pytest.raises(ValueError, match="2 trajectories"):
+            ou_fidelity_curve(PEAK, input_state(SP), target_state(SP), spec, t_max=1.0)
 
     def test_stderr_requires_two_rows(self):
         one = input_state(SP).amplitudes[None, :]
@@ -372,9 +434,17 @@ class TestFourierStep:
         params = RouterParams(int(rng.integers(2, 60)), beta, float(rng.uniform(0, TWO_PI)))
         spec = OUSpec(theta=1.3, sigma_vol=0.8, dt=dt, trajectories=40, seed=5)
         psi0 = input_state(SuperpositionParams(float(rng.uniform()), 1.1)).amplitudes
-        got = _evolve_ensemble(params, psi0, spec, params.phi, 30, [30])[30]
+        (got,) = _evolve_ensemble(params, psi0, spec, [30])
         ref = eigh_step_reference(params, psi0, spec, params.phi, 30)
         assert float(np.max(np.abs(got - ref))) <= 1e-12
+
+    def test_snapshots_come_back_in_order(self):
+        spec = OUSpec(trajectories=5, seed=3)
+        psi0 = input_state(SP).amplitudes
+        start, mid, end = _evolve_ensemble(PEAK, psi0, spec, [0, 10, 30])
+        np.testing.assert_array_equal(start, np.broadcast_to(psi0, (5, 6)))
+        np.testing.assert_array_equal(mid, _evolve_ensemble(PEAK, psi0, spec, [10])[0])
+        np.testing.assert_array_equal(end, _evolve_ensemble(PEAK, psi0, spec, [30])[0])
 
     def test_large_beta_dt_uses_several_blocks(self):
         # |beta| dt = 20 keeps 191 harmonics, so the reference comparison above
@@ -385,7 +455,7 @@ class TestFourierStep:
         params = RouterParams(20, 1.0, 4.712)
         spec = OUSpec(sigma_vol=0.0, trajectories=3)
         psi0 = input_state(SP).amplitudes
-        got = _evolve_ensemble(params, psi0, spec, params.phi, 250, [250])[250]
+        (got,) = _evolve_ensemble(params, psi0, spec, [250])
         h = build_reduced_hamiltonian(params).entries
         expected = linalg.expm(-1j * h * 250 * spec.dt) @ psi0
         assert float(np.max(np.abs(got - expected))) <= 1e-12

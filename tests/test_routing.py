@@ -114,6 +114,32 @@ class TestTransitionProbability:
             v = transition_probability(p, float(t), 1, 4)
             assert 0.0 <= v <= 1.0
 
+    def test_time_array(self):
+        p = RouterParams(7, 2.0, 0.4)
+        ts = np.linspace(0, 20, 12)
+        curve = transition_probability(p, ts, 1, 6)
+        assert curve.shape == (12,)
+        for t, value in zip(ts.tolist(), curve.tolist()):
+            assert value == pytest.approx(transition_probability(p, t, 1, 6), abs=1e-15)
+        assert type(transition_probability(p, np.float64(2.0), 1, 6)) is float
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_statistics_reject_non_finite_time(t):
+    p = RouterParams(20, 1.0, 4.712)
+    sp = SuperpositionParams(0.7, 3.0 * math.pi / 2.0)
+    grid = SuperpositionGrid(5, 8)
+    for call in (
+        lambda: transition_probability(p, t, 1, 4),
+        lambda: transition_probability(p, np.array([1.0, t]), 1, 4),
+        lambda: routing_fidelity(p, t, sp),
+        lambda: fidelity_grid(p, t, grid),
+        lambda: average_fidelity(p, t, grid),
+        lambda: min_fidelity(p, t, grid),
+    ):
+        with pytest.raises(ValueError, match="t must be finite"):
+            call()
+
 
 class TestWrongOutputProbability:
     def test_n2_equals_aggregate(self):
