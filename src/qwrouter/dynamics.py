@@ -94,10 +94,11 @@ def _unitaries(h: np.ndarray, t: float) -> np.ndarray:
     return (q * np.exp(-1j * w * t)[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
-def _evolved(h: np.ndarray, t: float, amps: np.ndarray) -> np.ndarray:
-    """``exp(-i h t) amps`` for Hermitian ``h`` of shape ``(..., d, d)`` and ``amps`` of
-    shape ``(d,)`` or ``(..., d)``, without forming the propagators."""
-    w, q = np.linalg.eigh(h)
+def _evolved(spectrum: tuple[np.ndarray, np.ndarray], t: float, amps: np.ndarray) -> np.ndarray:
+    """``exp(-i h t) amps`` from ``spectrum = np.linalg.eigh(h)`` for Hermitian ``h`` of
+    shape ``(..., d, d)`` and ``amps`` of shape ``(d,)`` or ``(..., d)``, without forming
+    the propagators; callers that evolve to many times decompose once."""
+    w, q = spectrum
     coeff = np.exp(-1j * w * t) * (q.conj().swapaxes(-1, -2) @ amps[..., None])[..., 0]
     return (q @ coeff[..., None])[..., 0]
 
@@ -126,7 +127,7 @@ def evolve(h: HermitianMatrix | np.ndarray, t: float, psi0: PureState) -> PureSt
     entries = _hermitian_entries(h)
     if psi0.dim != entries.shape[0]:
         raise ValueError("state dimension does not match Hamiltonian")
-    return PureState(_evolved(entries, _finite_times(t), psi0.amplitudes))
+    return PureState(_evolved(np.linalg.eigh(entries), _finite_times(t), psi0.amplitudes))
 
 
 def evolve_piecewise(

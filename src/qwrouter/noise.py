@@ -8,12 +8,14 @@ drawn once per realization from the circular (von Mises) density
 and observables become quadrature averages over ``eps``.  The density is
 evaluated in the exponentially scaled form ``exp(k (cos eps - 1)) / (2 pi
 i0e(k))``, which stays finite for arbitrarily large concentration ``k``
-(the naive form overflows float64 beyond k ~ 713).  For large ``k`` the
+(the naive form overflows float64 beyond k ~ 713); ``I0`` and ``i0e`` are
+Cephes' Chebyshev series, so no scipy is needed.  For large ``k`` the
 quadrature domain shrinks to ``[-L, L]`` with ``L = min(pi, 10 / sqrt(k))``
 — about ten standard deviations of the narrow-density limit — so nodes are
 never wasted on regions of negligible mass; weights are renormalized to unit
 mass, which makes averaged states exactly trace-one and turns ``k = 0`` into
-the exact uniform phase average.
+the exact uniform phase average.  Each rule's ``eigh`` of ``H(phi + eps_p)``
+is cached, so a whole time curve decomposes each rule it uses once.
 
 Dynamical noise promotes the phase to a mean-reverting diffusion
 
@@ -47,9 +49,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-# scipy.special and numpy.polynomial are imported inside the von Mises functions that
-# use them: they would be most of the cost of ``import qwrouter``, and nothing else
-# needs them.
+# numpy.polynomial is imported inside ``_leggauss``, its only user, to keep it off the
+# cost of ``import qwrouter``.
 
 from .dynamics import PureState, _evolved, _finite_times, _unitaries
 from .hamiltonian import RouterParams, reduced_hamiltonians
@@ -88,6 +89,32 @@ _QUADRATURE_TOL = 1e-8
 _ROUNDOFF = 2.0**-53  # float64 unit roundoff: the Fourier step's tail target
 _MAX_PHASE_NODES = 4096  # Fourier-step phase nodes: |beta| dt up to about 560
 _HARMONIC_BLOCK = 32  # harmonics per GEMM in a Fourier step (bounds scratch)
+# Chebyshev coefficients of Cephes' i0/i0e (S. L. Moshier, Cephes Math Library, i0.c),
+# the ones scipy.special.i0/i0e and numpy.i0 evaluate: _I0_A expands exp(-x) I0(x)
+# on [0, 8] in x/2 - 2, _I0_B expands exp(-x) sqrt(x) I0(x) on (8, inf) in 32/x - 2.
+_I0_A = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
+    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
+    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
+    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
+    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
+    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
+    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
+    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
+)
+_I0_B = (
+    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
+    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
+    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
+    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
+    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
+    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
+    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
+    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
+    0.8044904110141088,
+)
 
 
 @dataclass(frozen=True)
@@ -221,16 +248,35 @@ def _positive(name: str, x: float) -> float:
     return x
 
 
+def _chbevl(x: float, coeffs: tuple[float, ...]) -> float:
+    """Cephes ``chbevl``: the Chebyshev series ``coeffs`` (highest order first) at ``x``."""
+    b0 = b1 = b2 = 0.0
+    for c in coeffs:
+        b2, b1 = b1, b0
+        b0 = x * b1 - b2 + c
+    return 0.5 * (b0 - b2)
+
+
+def _i0_parts(k: float) -> tuple[float, float]:
+    """``(chb, root)`` with ``i0e(k) = chb / root`` and ``I0(k) = exp(k) * chb / root``."""
+    if k <= 8.0:
+        return _chbevl(k / 2.0 - 2.0, _I0_A), 1.0
+    return _chbevl(32.0 / k - 2.0, _I0_B), math.sqrt(k)
+
+
 def bessel_i0(k: float) -> float:
     """Modified Bessel function of the first kind, order zero.
 
-    Relative error below 1e-12 across the representable range; overflows to
-    ``inf`` beyond k ~ 713 (float64 limit) — the scaled form is used
-    internally wherever large concentrations appear.
+    Cephes' ``i0`` in its evaluation order, so it equals ``scipy.special.i0``
+    bit for bit; ``inf`` once ``exp(k)`` overflows (k > 709.78), as scipy's
+    is — the scaled form is used internally wherever large concentrations appear.
     """
-    from scipy import special
-
-    return float(special.i0(_check_k(k)))
+    k = _check_k(k)
+    chb, root = _i0_parts(k)
+    try:
+        return math.exp(k) * chb / root
+    except OverflowError:
+        return math.inf
 
 
 def von_mises_pdf(eps, k: float):
@@ -239,11 +285,10 @@ def von_mises_pdf(eps, k: float):
     Accepts scalars or arrays of ``eps`` (radians); any real value is valid
     since the density is 2*pi-periodic.
     """
-    from scipy import special
-
     k = _check_k(k)
+    chb, root = _i0_parts(k)
     eps_arr = np.asarray(eps, dtype=float)
-    vals = np.exp(k * (np.cos(eps_arr) - 1.0)) / (_TWO_PI * special.i0e(k))
+    vals = np.exp(k * (np.cos(eps_arr) - 1.0)) / (_TWO_PI * (chb / root))
     if np.isscalar(eps) or eps_arr.ndim == 0:
         return float(vals)
     return vals
@@ -294,15 +339,26 @@ def _adaptive_average(
     return prev, delta <= _WARN_THRESHOLD, points
 
 
+@lru_cache(maxsize=8)  # one curve uses at most 1 + _MAX_DOUBLINGS = 7 rules
+def _node_spectrum(params: RouterParams, k: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.linalg.eigh`` of ``H(phi + eps_p)`` at the nodes ``eps_p`` of the
+    ``points``-node rule for concentration ``k`` (``_nodes_and_weights``)."""
+    eps = _nodes_and_weights(k, points)[0]
+    w, q = np.linalg.eigh(reduced_hamiltonians(params.n_outputs, params.beta, params.phi + eps))
+    w.setflags(write=False)
+    q.setflags(write=False)
+    return w, q
+
+
 def _static_average(params: RouterParams, t: float, amps0: np.ndarray, k: float,
                     reduce: Callable[[np.ndarray, np.ndarray], np.ndarray | float]):
     """``_adaptive_average`` of ``reduce(states, weights)``, where row ``p`` of
-    ``states`` is ``exp(-i H(phi + eps_p) t) amps0`` at quadrature node ``eps_p``."""
+    ``states`` is ``exp(-i H(phi + eps_p) t) amps0`` at quadrature node ``eps_p``,
+    evolved from the rule's cached spectrum."""
     t = _finite_times(t)
 
     def quadrature(eps: np.ndarray, wts: np.ndarray):
-        h = reduced_hamiltonians(params.n_outputs, params.beta, params.phi + eps)
-        return reduce(_evolved(h, t, amps0), wts)
+        return reduce(_evolved(_node_spectrum(params, k, eps.size), t, amps0), wts)
 
     return _adaptive_average(quadrature, k)
 

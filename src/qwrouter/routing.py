@@ -143,13 +143,18 @@ def u_element_curve(params: RouterParams, ts, rows, cols) -> np.ndarray:
     """Propagator elements ``U[rows, cols](t)`` over times ``ts`` (0-based indices).
 
     ``rows``/``cols`` are ints or equal-length index lists; the result has
-    the shape of ``ts`` for ints and ``(len(rows),) + shape(ts)`` for lists.
-    Every routing statistic reads its elements here, so a non-finite time
-    raises ``ValueError`` for all of them.
+    the shape of ``ts`` for ints and ``(len(rows),) + shape(ts)`` for lists,
+    for ``ts`` of any dimension.  Every routing statistic reads its elements
+    here, so a non-finite time raises ``ValueError`` for all of them.
     """
     ts = _finite_times(ts)
     w, q = _spectrum(params)
-    return (q[rows] * np.conj(q[cols])) @ np.exp(-1j * np.multiply.outer(w, ts))
+    coeffs = q[rows] * np.conj(q[cols])
+    if ts.ndim == 0:
+        return coeffs @ np.exp(-1j * (w * ts))
+    # One (6, T) phase matrix per row of ts: every row takes the product a 1-d ts takes.
+    u = coeffs @ np.exp(-1j * (w[:, None] * ts[..., None, :]))
+    return u if coeffs.ndim == 1 else np.moveaxis(u, -2, 0)
 
 
 def input_state(p: SuperpositionParams) -> PureState:
@@ -183,7 +188,7 @@ def transition_probability(
 ) -> float | np.ndarray:
     """``|<to| exp(-i H_red t) |from>|^2`` over reduced-basis labels 1..6.
 
-    A float for a scalar ``t``; an array for a 1-d array of times.
+    A float for a scalar ``t``; an array of the shape of ``t`` for an array of times.
     """
     row = _check_label(to_label)
     col = _check_label(from_label)
@@ -250,14 +255,19 @@ def _grid_from_elements(u: list[complex], grid: SuperpositionGrid) -> np.ndarray
 
 
 def average_fidelity(
-    params: RouterParams, t: float, grid: SuperpositionGrid | None = None
-) -> float:
-    """Mean routing fidelity over the (alpha, chi) grid: exactly ``u^T G conj(u)``."""
+    params: RouterParams, t, grid: SuperpositionGrid | None = None
+) -> float | np.ndarray:
+    """Mean routing fidelity over the (alpha, chi) grid: exactly ``u^T G conj(u)``.
+
+    A float for a scalar ``t``; an array of the shape of ``t`` for an array of times.
+    """
     if grid is None:
         grid = SuperpositionGrid()
     u = u_element_curve(params, t, *_TRANSFER)
     g = _chart(grid)[1]
-    return _clamp01(float((g * np.outer(u, u.conj())).sum().real))
+    if u.ndim == 1:
+        return _clamp01(float((g * np.outer(u, u.conj())).sum().real))
+    return np.clip(np.einsum("kl,k...,l...->...", g, u, u.conj()).real, 0.0, 1.0)
 
 
 def _descend(f: Callable[[float, float], float], x: float, y: float, best: float,

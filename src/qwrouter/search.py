@@ -122,25 +122,25 @@ def scan(
 ) -> ScanSurface:
     """Dense fidelity surface over the grid; deterministic.
 
-    ``localized`` evaluates the input-to-target transition probability;
-    ``average`` / ``worst_case`` evaluate the superposition-grid statistics
-    (one spectral decomposition per parameter column in every case).
+    ``localized`` evaluates the input-to-target transition probability and
+    ``average`` the mean superposition fidelity, each in one call per
+    parameter column; ``worst_case`` evaluates ``min_fidelity`` per cell (one
+    spectral decomposition per parameter column in every case).
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}")
     ts = grid.t_values()
     ps = grid.param_values()
     out = np.empty((ts.size, ps.size))
-    if objective == "localized":
-        for j, p in enumerate(ps):
-            params = _with_param(params_base, grid.param_kind, p)
+    for j, p in enumerate(ps):
+        params = _with_param(params_base, grid.param_kind, p)
+        if objective == "localized":
             out[:, j] = transition_probability(params, ts, 1, 4)
-    else:
-        stat = average_fidelity if objective == "average" else min_fidelity
-        for j, p in enumerate(ps):
-            params = _with_param(params_base, grid.param_kind, p)
+        elif objective == "average":
+            out[:, j] = average_fidelity(params, ts, sp_grid)
+        else:
             for i, t in enumerate(ts):
-                out[i, j] = stat(params, float(t), sp_grid)
+                out[i, j] = min_fidelity(params, float(t), sp_grid)
     return ScanSurface(out, ts, ps, grid.param_kind, params_base)
 
 

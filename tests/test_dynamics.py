@@ -74,7 +74,7 @@ def test_batched_kernels_match_single_matrices():
     h = reduced_hamiltonians(7, 1.3, np.linspace(0.0, 5.0, 6)).reshape(2, 3, 6, 6)
     psi = PureState(np.array([0.6, 0.8j, 0, 0, 0, 0]))
     u = _unitaries(h, 2.9)
-    states = _evolved(h, 2.9, psi.amplitudes)
+    states = _evolved(np.linalg.eigh(h), 2.9, psi.amplitudes)
     assert u.shape == (2, 3, 6, 6) and states.shape == (2, 3, 6)
     for i, j in np.ndindex(2, 3):
         np.testing.assert_array_equal(u[i, j], propagator(h[i, j], 2.9).matrix)

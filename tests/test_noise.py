@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, linalg
+from scipy import integrate, linalg, special
 
 from qwrouter import (
     EnsembleState,
@@ -32,7 +32,9 @@ from qwrouter.noise import (
     _HARMONIC_BLOCK,
     _adaptive_average,
     _evolve_ensemble,
+    _i0_parts,
     _leggauss,
+    _node_spectrum,
     _phase_paths,
     _step_fourier,
 )
@@ -64,6 +66,17 @@ class TestBessel:
 
     def test_known_value(self):
         assert bessel_i0(1.0) == pytest.approx(1.2660658777520084, rel=1e-13)
+
+    def test_seeded_sweep_matches_scipy_bit_for_bit(self):
+        # 10^4 concentrations, log-uniform on [1e-3, 1e12] and uniform on [0, 20].
+        rng = np.random.default_rng(20261018)
+        ks = np.concatenate([np.exp(rng.uniform(math.log(1e-3), math.log(1e12), 5000)),
+                             rng.uniform(0.0, 20.0, 5000)])
+        i0e = [chb / root for chb, root in map(_i0_parts, ks.tolist())]
+        np.testing.assert_array_equal(i0e, special.i0e(ks))
+        np.testing.assert_array_equal([bessel_i0(k) for k in ks.tolist()], special.i0(ks))
+        np.testing.assert_array_equal([von_mises_pdf(0.0, k) for k in ks.tolist()],
+                                      np.exp(0.0) / (TWO_PI * special.i0e(ks)))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -260,6 +273,39 @@ class TestAdaptiveAverage:
         from scipy.special import i1
 
         assert value == pytest.approx(i1(2.0) / bessel_i0(2.0), abs=1e-9)
+
+
+class TestNodeSpectrumCache:
+    def test_curve_decomposes_each_rule_once(self, monkeypatch):
+        # The benchmark's k = 12.5 curve: 101 times, every one converged at 258 nodes.
+        vm = VonMisesSpec(12.5)
+        ts = [j * 25.0 / 100 for j in range(101)]
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(a):
+            calls.append(np.shape(a)[:-2])
+            return real(a)
+
+        _node_spectrum.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        curve = [static_noise_fidelity(PEAK, t, SP, vm) for t in ts]
+        monkeypatch.undo()
+        assert calls == [(129,), (258,)]
+        assert {(f.converged, f.points_used) for f in curve} == {(True, 258)}
+        for t, f in zip(ts, curve):
+            _node_spectrum.cache_clear()
+            fresh = static_noise_fidelity(PEAK, t, SP, vm)
+            assert fresh == f and fresh.points_used == f.points_used
+
+    def test_spectrum_is_read_only(self):
+        w, q = _node_spectrum(PEAK, 12.5, 129)
+        assert _node_spectrum(PEAK, 12.5, 129)[1] is q
+        assert w.shape == (129, 6) and q.shape == (129, 6, 6)
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            q[0, 0, 0] = 0.0
 
 
 class TestLeggaussCache:

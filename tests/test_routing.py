@@ -27,7 +27,7 @@ from qwrouter import (
     transition_probability,
 )
 from qwrouter.cli import TABLE1_ROWS
-from qwrouter.routing import _TRANSFER, _uhlmann_fidelity_general, u_element_curve
+from qwrouter.routing import _TRANSFER, _chart, _uhlmann_fidelity_general, u_element_curve
 
 TWO_PI = 2.0 * np.pi
 RNG = np.random.default_rng(20240814)
@@ -122,6 +122,29 @@ class TestTransitionProbability:
         for t, value in zip(ts.tolist(), curve.tolist()):
             assert value == pytest.approx(transition_probability(p, t, 1, 6), abs=1e-15)
         assert type(transition_probability(p, np.float64(2.0), 1, 6)) is float
+
+    def test_multidimensional_times(self):
+        # 0-d and 1-d times keep their bits; a 2-d result equals its 1-d rows exactly.
+        p = RouterParams(7, 2.0, 0.4)
+        assert u_element_curve(p, np.zeros((3, 4)), 5, 0).shape == (3, 4)
+        assert u_element_curve(p, np.zeros((3, 4)), *_TRANSFER).shape == (4, 3, 4)
+        ts = np.random.default_rng(5).uniform(0.0, 40.0, (3, 7))
+        w, q = np.linalg.eigh(build_reduced_hamiltonian(p).entries)
+        for rows, cols in ((5, 0), _TRANSFER):
+            coeffs = q[rows] * np.conj(q[cols])
+            grid = u_element_curve(p, ts, rows, cols)
+            for i, row in enumerate(ts):
+                # The former expression, for 1-d and then 0-d times.
+                former = coeffs @ np.exp(-1j * np.multiply.outer(w, row))
+                np.testing.assert_array_equal(u_element_curve(p, row, rows, cols), former)
+                np.testing.assert_array_equal(grid[..., i, :], former)
+                for j, t in enumerate(row.tolist()):
+                    np.testing.assert_array_equal(
+                        u_element_curve(p, t, rows, cols),
+                        coeffs @ np.exp(-1j * np.multiply.outer(w, t)))
+        curve = transition_probability(p, ts, 1, 6)
+        assert curve.shape == ts.shape
+        np.testing.assert_array_equal(curve[1], transition_probability(p, ts[1], 1, 6))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -373,6 +396,25 @@ class TestAgainstFormerLoops:
             params, t = random_router(rng)
             got = average_fidelity(params, t, grid)
             assert abs(got - grid_mean_reference(params, t, grid)) <= 1e-13
+
+    def test_average_over_time_array(self):
+        grid = SuperpositionGrid(9, 12, "haar")
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            params, _ = random_router(rng)
+            ts = rng.uniform(0.0, 50.0, 17)
+            curve = average_fidelity(params, ts, grid)
+            assert curve.shape == ts.shape
+            for got, t in zip(curve.tolist(), ts.tolist()):
+                scalar = average_fidelity(params, t, grid)
+                assert abs(got - scalar) <= 1e-15
+                # A scalar time keeps the former summation bit for bit.
+                u = u_element_curve(params, t, *_TRANSFER)
+                former = float((_chart(grid)[1] * np.outer(u, u.conj())).sum().real)
+                assert scalar == min(max(former, 0.0), 1.0)
+            np.testing.assert_array_equal(
+                average_fidelity(params, ts.reshape(1, 17), grid)[0], curve)
+        assert type(average_fidelity(params, np.float64(2.0), grid)) is float
 
     def test_average_builds_no_grid(self, monkeypatch):
         from qwrouter import routing

@@ -156,6 +156,17 @@ class TestScan:
         assert np.all(worst.values <= avg.values + 1e-12)
         assert np.all((avg.values >= 0.0) & (avg.values <= 1.0))
 
+    def test_average_columns_match_cells(self):
+        # One average_fidelity call per column against the former per-cell loop.
+        base = RouterParams(30, 1.0, 0.3)
+        grid = ScanGrid((0.0, 40.0, 41), (0.2, 2.0, 7), "weight")
+        for sp in (None, SuperpositionGrid(9, 12, "haar")):
+            surface = scan(base, grid, objective="average", sp_grid=sp)
+            for j, p in enumerate(surface.param_values.tolist()):
+                params = RouterParams(30, p, 0.3)
+                for i, t in enumerate(surface.t_values.tolist()):
+                    assert abs(surface.values[i, j] - average_fidelity(params, t, sp)) <= 1e-15
+
     def test_rejects_unknown_objective(self):
         base = RouterParams(5, 1.0, 0.0)
         grid = ScanGrid((0.0, 1.0, 2), (0.0, 1.0, 2), "phase")
