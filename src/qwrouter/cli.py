@@ -312,6 +312,11 @@ def noise_cmd(model, n, beta, phi, alpha, chi, t_max, t_steps, k, theta, sigma, 
             )
         except ValueError as exc:
             raise click.UsageError(str(exc))
+        except MemoryError:
+            raise click.UsageError(
+                f"the fidelity table of --trajectories {trajectories} at --t-steps "
+                f"{t_steps} does not fit in memory; lower --trajectories or --t-steps"
+            )
         if len(times) < t_steps:
             click.echo(f"warning: {t_steps} snapshot times requested but only "
                        f"{len(times)} are distinct after snapping to whole steps "

@@ -23,9 +23,11 @@ Dynamical noise promotes the phase to a mean-reverting diffusion
 
 integrated by the Euler–Maruyama rule with stationary initial conditions
 ``X_0 ~ N(mu, Sigma^2 / (2 theta))``.  Each trajectory owns a counter-based
-random stream (Philox keyed by the seed, counter set from the trajectory
-index), so ensembles are reproducible and independent of evaluation order
-or batching.
+random stream (Philox keyed by the seed, counter ``[0, 0, index, 0]``), so
+ensembles are reproducible and independent of evaluation order or batching.
+The ensemble evolves in blocks of ``_TRAJECTORY_BLOCK = 512`` trajectories
+and keeps only what its caller reads, so a fidelity curve retains 8 bytes
+per trajectory and snapshot plus one block's ``steps x 512`` path floats.
 
 The phase enters the Hamiltonian only through the link term,
 ``H(phi) = H0 + beta (e^{-i phi} E + e^{i phi} E^dag)`` with ``E = |2><3|``,
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 # numpy.polynomial is imported inside ``_leggauss``, its only user, to keep it off the
@@ -89,6 +91,7 @@ _QUADRATURE_TOL = 1e-8
 _ROUNDOFF = 2.0**-53  # float64 unit roundoff: the Fourier step's tail target
 _MAX_PHASE_NODES = 4096  # Fourier-step phase nodes: |beta| dt up to about 560
 _HARMONIC_BLOCK = 32  # harmonics per GEMM in a Fourier step (bounds scratch)
+_TRAJECTORY_BLOCK = 512  # trajectories evolved together (bounds paths and states)
 # Chebyshev coefficients of Cephes' i0/i0e (S. L. Moshier, Cephes Math Library, i0.c),
 # the ones scipy.special.i0/i0e and numpy.i0 evaluate: _I0_A expands exp(-x) I0(x)
 # on [0, 8] in x/2 - 2, _I0_B expands exp(-x) sqrt(x) I0(x) on (8, inf) in 32/x - 2.
@@ -217,12 +220,16 @@ class EnsembleState(DensityMatrix):
         """Mean fidelity against a pure target and its Monte Carlo standard error."""
         if target.dim != self.dim:
             raise ValueError("target dimension mismatch")
-        return _mean_and_stderr(self.trajectory_states, target.amplitudes.conj())
+        return _mean_and_stderr(_fidelities(self.trajectory_states, target.amplitudes.conj()))
 
 
-def _mean_and_stderr(states: np.ndarray, w_conj: np.ndarray) -> tuple[float, float]:
-    """Mean of ``|<w|psi_b>|^2`` over the rows ``psi_b`` of ``states`` and its standard error."""
-    f = np.abs(states @ w_conj) ** 2
+def _fidelities(states: np.ndarray, w_conj: np.ndarray) -> np.ndarray:
+    """``|<w|psi_b>|^2`` for each row ``psi_b`` of ``states``."""
+    return np.abs(states @ w_conj) ** 2
+
+
+def _mean_and_stderr(f: np.ndarray) -> tuple[float, float]:
+    """Mean of the per-trajectory fidelities ``f`` and its Monte Carlo standard error."""
     if f.size < 2:
         raise ValueError("standard error undefined for fewer than 2 trajectories")
     return float(f.mean()), float(f.std(ddof=1) / math.sqrt(f.size))
@@ -370,7 +377,7 @@ def static_noise_fidelity(
     w_conj = target_state(sp).amplitudes.conj()
     value, converged, used = _static_average(
         params, t, input_state(sp).amplitudes, vm.k,
-        lambda states, wts: float(np.dot(wts, np.abs(states @ w_conj) ** 2)),
+        lambda states, wts: float(np.dot(wts, _fidelities(states, w_conj))),
     )
     return StaticNoiseFidelity(min(max(value, 0.0), 1.0), converged, used)
 
@@ -381,11 +388,6 @@ def static_noise_state(
     """Noise-averaged output state ``∫ p_k(eps) U(phi+eps) |psi0><psi0| U^dag d eps``."""
     rho, converged, used = _static_average(params, t, psi0.amplitudes, vm.k, _mixture)
     return NoiseAveragedState(rho, converged, used)
-
-
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for one trajectory."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
 
 
 def ou_sample_path(spec: OUSpec, steps: int, trajectory: int = 0) -> np.ndarray:
@@ -407,34 +409,38 @@ def ou_stationary_draws(spec: OUSpec, count: int) -> np.ndarray:
 
 
 def _phase_paths(
-    spec: OUSpec, mu: float | None, steps: int, trajectories: Sequence[int] | None = None
+    spec: OUSpec, mu: float | None, steps: int, rows: Sequence[int] | None = None
 ) -> np.ndarray:
-    """Paths of the given trajectory indices (default: all), shape (len, steps).
+    """Paths of the trajectory indices ``rows`` (default: all), shape (len, steps).
 
-    Row ``r`` depends only on ``(spec.seed, trajectories[r])``.  The standalone
-    samplers pass ``spec.mu``, which must not be None there.
+    Row ``r`` depends only on ``(spec.seed, rows[r])``: it is the stream of
+    ``Philox(key=seed, counter=rows[r] << 128)``, whose first ``steps``
+    normals are ``X_0``'s draw and the increments.  One Philox is reset to
+    each row's counter instead of building a generator per row, and the
+    result is the transpose of a ``(steps, len)`` array, so each Euler step
+    writes one contiguous row.  The standalone samplers pass ``spec.mu``,
+    which must not be None there.
     """
     if mu is None:
         raise ValueError("mu must be set for standalone sampling")
-    if trajectories is None:
-        trajectories = range(spec.trajectories)
-    x0 = np.empty(len(trajectories))
-    z = np.empty((len(trajectories), max(steps - 1, 0)))
-    sd = math.sqrt(spec.stationary_variance)
-    for r, index in enumerate(trajectories):
-        rng = _trajectory_rng(spec.seed, index)
-        x0[r] = mu + sd * rng.standard_normal()
-        if steps > 1:
-            z[r] = rng.standard_normal(steps - 1)
-    paths = np.empty((len(trajectories), steps))
-    x = x0
-    paths[:, 0] = x
+    if rows is None:
+        rows = range(spec.trajectories)
+    bitgen = np.random.Philox(key=spec.seed)
+    normals = np.random.Generator(bitgen).standard_normal
+    state = bitgen.state  # counter [0, 0, 0, 0], empty output buffer
+    counter = state["state"]["counter"]
+    paths = np.empty((steps, len(rows)))
+    for r, index in enumerate(rows):
+        counter[2], counter[3] = index & 0xFFFF_FFFF_FFFF_FFFF, index >> 64
+        bitgen.state = state
+        paths[:, r] = normals(steps)
+    paths[0] = mu + math.sqrt(spec.stationary_variance) * paths[0]
     drift_dt = spec.theta * spec.dt
     diffusion = spec.sigma_vol * math.sqrt(spec.dt)
-    for m in range(steps - 1):
-        x = x + drift_dt * (mu - x) + diffusion * z[:, m]
-        paths[:, m + 1] = x
-    return paths
+    for m in range(1, steps):
+        x = paths[m - 1]
+        paths[m] = x + drift_dt * (mu - x) + diffusion * paths[m]
+    return paths.T
 
 
 def _step_fourier(n: int, beta: float, dt: float) -> np.ndarray:
@@ -471,47 +477,73 @@ def _step_fourier(n: int, beta: float, dt: float) -> np.ndarray:
     return c[np.arange(-cutoff, cutoff + 1) % nodes]
 
 
+def _blocks(count: int) -> Iterator[tuple[int, int]]:
+    """Consecutive trajectory ranges ``[lo, hi)`` of ``_TRAJECTORY_BLOCK`` rows.
+
+    A remainder of one row joins the block before it: numpy sends a one-row
+    ``matmul`` to a different BLAS kernel, whose last bits differ.
+    """
+    lo = 0
+    while lo < count:
+        hi = count if count - lo <= _TRAJECTORY_BLOCK + 1 else lo + _TRAJECTORY_BLOCK
+        yield lo, hi
+        lo = hi
+
+
 def _evolve_ensemble(
-    params: RouterParams, psi0: np.ndarray, spec: OUSpec, snapshots: Sequence[int]
-) -> list[np.ndarray]:
+    params: RouterParams,
+    psi0: np.ndarray,
+    spec: OUSpec,
+    snapshots: Sequence[int],
+    observe: Callable[[np.ndarray], np.ndarray] = lambda states: states,
+) -> np.ndarray:
     """Batched piecewise-constant evolution of all trajectories.
 
     The phase reverts to ``spec.mu``, or to the router's phase when that is
     None.  Each step applies ``U(X_b, dt) = sum_m e^{i m X_b} C_m`` (see
     ``_step_fourier``): one GEMM of the phase powers against the flattened
     ``C_m``, in blocks of ``_HARMONIC_BLOCK`` harmonics, then one batched
-    6x6 matrix-vector product.  Returns the (trajectories, 6) state stack at
-    each of the increasing step indices ``snapshots``, in order.
+    6x6 matrix-vector product.  Trajectories evolve in blocks (``_blocks``),
+    and only ``observe`` of a block's ``(rows, 6)`` state stack is kept:
+    entry ``[j, b]`` of the result is trajectory ``b``'s row of ``observe``
+    at the ``j``-th of the increasing step indices ``snapshots``.  The table
+    is allocated before any block evolves; by default it holds the states.
     """
     if spec.trajectories < 2:
         raise ValueError("need at least 2 trajectories for ensemble statistics")
     mu = params.phi if spec.mu is None else spec.mu
     total_steps = snapshots[-1]
-    wanted = set(snapshots)
-    psi = np.broadcast_to(psi0, (spec.trajectories, psi0.shape[0])).copy()
-    out = [psi] if 0 in wanted else []
-    if total_steps == 0:
-        return out
-    coeffs = _step_fourier(params.n_outputs, params.beta, spec.dt)
-    harmonics = coeffs.shape[0]
-    cutoff = (harmonics - 1) // 2
-    # powers[j, b] = e^{i (lo + j - M) X_b} for the block of harmonics starting at lo.
-    powers = np.empty((min(harmonics, _HARMONIC_BLOCK), spec.trajectories), dtype=complex)
-    paths = _phase_paths(spec, mu, total_steps)
-    for m in range(total_steps):
-        x = paths[:, m]
-        z = np.exp(1j * x)
-        step = 0.0
-        for lo in range(0, harmonics, powers.shape[0]):
-            block = coeffs[lo:lo + powers.shape[0]]
-            np.exp(1j * (lo - cutoff) * x, out=powers[0])
-            for j in range(1, block.shape[0]):
-                np.multiply(powers[j - 1], z, out=powers[j])
-            step = step + powers[:block.shape[0]].T @ block
-        psi = np.einsum("bij,bj->bi", step.reshape(-1, 6, 6), psi)
-        if m + 1 in wanted:
-            out.append(psi)
-    return out
+    column = {step: j for j, step in enumerate(snapshots)}
+    if total_steps > 0:
+        coeffs = _step_fourier(params.n_outputs, params.beta, spec.dt)
+        harmonics = coeffs.shape[0]
+        cutoff = (harmonics - 1) // 2
+    probe = observe(psi0[None])  # only for the table's trailing shape and dtype
+    table = np.empty((len(snapshots), spec.trajectories) + probe.shape[1:], probe.dtype)
+    for lo, hi in _blocks(spec.trajectories):
+        psi = np.broadcast_to(psi0, (hi - lo, psi0.shape[0])).copy()
+        if 0 in column:
+            table[0, lo:hi] = observe(psi)
+        if total_steps == 0:
+            continue
+        # powers[j, b] = e^{i (h + j - M) X_b} for the block of harmonics starting at h.
+        powers = np.empty((min(harmonics, _HARMONIC_BLOCK), hi - lo), dtype=complex)
+        paths = _phase_paths(spec, mu, total_steps, range(lo, hi))
+        for m in range(total_steps):
+            x = paths[:, m]
+            z = np.exp(1j * x)
+            step = None
+            for h in range(0, harmonics, powers.shape[0]):
+                block = coeffs[h:h + powers.shape[0]]
+                np.exp(1j * (h - cutoff) * x, out=powers[0])
+                for j in range(1, block.shape[0]):
+                    np.multiply(powers[j - 1], z, out=powers[j])
+                term = powers[:block.shape[0]].T @ block
+                step = term if step is None else step + term
+            psi = np.einsum("bij,bj->bi", step.reshape(-1, 6, 6), psi)
+            if m + 1 in column:
+                table[column[m + 1], lo:hi] = observe(psi)
+    return table
 
 
 def ou_ensemble_state(
@@ -540,7 +572,9 @@ def ou_fidelity_curve(
     """Ensemble fidelity versus time in one pass over the trajectories.
 
     Snapshot times are the requested uniform grid snapped to whole steps of
-    ``spec.dt``; returns ``(times, fidelity, stderr)``.
+    ``spec.dt``; returns ``(times, fidelity, stderr)``.  Only the
+    ``(snapshots, trajectories)`` fidelity table is retained, so a request
+    too large for memory raises ``MemoryError`` before any step is taken.
     """
     if not (math.isfinite(float(t_max)) and t_max > 0.0):
         raise ValueError("t_max must be positive")
@@ -555,8 +589,9 @@ def ou_fidelity_curve(
     ]
     wanted = sorted(set(min(max(s, 0), total_steps) for s in grid))
     w_conj = target.amplitudes.conj()
-    stats = np.array([_mean_and_stderr(states, w_conj)
-                      for states in _evolve_ensemble(params, psi0.amplitudes, spec, wanted)])
+    table = _evolve_ensemble(params, psi0.amplitudes, spec, wanted,
+                             lambda states: _fidelities(states, w_conj))
+    stats = np.array([_mean_and_stderr(f) for f in table])
     return np.array(wanted) * spec.dt, stats[:, 0], stats[:, 1]
 
 

@@ -248,6 +248,18 @@ class TestNoiseCommand:
         assert result.exit_code == 2
         assert "smaller dt" in result.output
 
+    def test_ou_table_beyond_memory_exits_2(self, runner):
+        # The 6 x 1e13 float64 fidelity table (480 TB) exceeds the 47-bit
+        # address space, so allocating it fails before any memory is touched.
+        result = runner.invoke(
+            main, ["noise", "ou", "--n", "20", "--trajectories", "10000000000000",
+                   "--t-max", "0.05"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "--trajectories" in result.output and "--t-steps" in result.output
+        assert "does not fit in memory" in result.output
+
     def test_ou_warns_when_snapshot_times_collide(self, runner):
         args = ["noise", "ou", "--n", "20", "--trajectories", "4",
                 "--t-max", "0.05", "--t-steps", "11"]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +29,12 @@ from qwrouter import (
     target_state,
     von_mises_pdf,
 )
+from qwrouter import noise
 from qwrouter.noise import (
     _HARMONIC_BLOCK,
+    _TRAJECTORY_BLOCK,
     _adaptive_average,
+    _blocks,
     _evolve_ensemble,
     _i0_parts,
     _leggauss,
@@ -381,6 +385,23 @@ class TestOUPaths:
             expected.append(x)
         np.testing.assert_array_equal(ou_sample_path(spec, 40, trajectory=2), expected)
 
+    @pytest.mark.parametrize("seed", [0, 777, 2**40])
+    def test_rows_are_per_trajectory_philox_streams(self, seed):
+        # Row r is the stream of its own Philox(key=seed, counter=index << 128),
+        # also for indices beyond 32 and 63 bits.
+        spec = OUSpec(theta=0.7, sigma_vol=0.9, dt=0.05, seed=seed)
+        mu, sd = 0.3, math.sqrt(spec.stationary_variance)
+        indices = [0, 1, 2**32 + 3, 2**63]
+        paths = _phase_paths(spec, mu, 25, indices)
+        for row, index in zip(paths, indices):
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
+            x = mu + sd * rng.standard_normal()
+            expected = [x]
+            for z in rng.standard_normal(24):
+                x = x + 0.7 * 0.05 * (mu - x) + 0.9 * math.sqrt(0.05) * z
+                expected.append(x)
+            np.testing.assert_array_equal(row, expected)
+
     def test_stationary_draws_match_path_starts(self):
         spec = OUSpec(mu=0.9, seed=11)
         draws = ou_stationary_draws(spec, 6)
@@ -532,6 +553,59 @@ class TestFourierStep:
                 RouterParams(20, 1e6, 0.0), input_state(SP), target_state(SP),
                 spec, t_max=2.0,
             )
+
+
+def ensemble_outputs(trajectories):
+    """Every array the ensemble API returns, for a short run at ``trajectories``."""
+    spec = OUSpec(trajectories=trajectories, seed=41)
+    return (
+        *_evolve_ensemble(PEAK, input_state(SP).amplitudes, spec, [0, 7, 20]),
+        ou_ensemble_state(PEAK, 0.2, input_state(SP), spec).trajectory_states,
+        *ou_fidelity_curve(PEAK, input_state(SP), target_state(SP), spec,
+                           t_max=0.2, snapshots=5),
+    )
+
+
+class TestTrajectoryBlocks:
+    @pytest.mark.parametrize("count", [2, 3, 97, 512, 513, 1024, 1537, 2000])
+    def test_blocks_cover_rows_without_a_single_row_block(self, count):
+        blocks = list(_blocks(count))
+        assert blocks[0][0] == 0 and blocks[-1][1] == count
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(2 <= hi - lo <= _TRAJECTORY_BLOCK + 1 for lo, hi in blocks)
+
+    @pytest.mark.parametrize(
+        "trajectories, block",
+        # 97 with blocks 2, 3 and 16 and 1537 with 512 leave a one-row remainder.
+        [(97, 2), (97, 3), (97, 7), (97, 16), (97, 64), (97, 97), (97, 512),
+         (1537, 512)],
+    )
+    def test_outputs_independent_of_block_size(self, monkeypatch, trajectories, block):
+        monkeypatch.setattr(noise, "_TRAJECTORY_BLOCK", trajectories)
+        single = ensemble_outputs(trajectories)
+        monkeypatch.setattr(noise, "_TRAJECTORY_BLOCK", block)
+        blocked = ensemble_outputs(trajectories)
+        assert len(blocked) == len(single) == 7
+        for got, expected in zip(blocked, single):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_peak_memory_grows_only_with_the_fidelity_table(self):
+        # 50 steps and 6 snapshots at 1024 and 4096 trajectories (2 and 8
+        # blocks).  The whole paths and noise would add 16 B per trajectory and
+        # step, and the state stacks 96 B per trajectory and snapshot.
+        def peak(trajectories):
+            tracemalloc.start()
+            try:
+                ou_fidelity_curve(PEAK, input_state(SP), target_state(SP),
+                                  OUSpec(trajectories=trajectories), t_max=0.5, snapshots=6)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1024)
+        small, large = peak(1024), peak(4096)
+        table_growth = 8 * (4096 - 1024) * 6
+        assert large - small <= table_growth + 16_384
 
 
 class TestEquivalence:
