@@ -36,9 +36,8 @@ from .routing import (
     input_state,
     min_fidelity,
     target_state,
-    transition_probability,
 )
-from .search import ScanGrid, _with_param, refine, scan
+from .search import _STATISTICS, ScanGrid, _with_param, refine, scan
 
 # The five tabulated high-fidelity configurations (n, t, phi, statistic, reference).
 TABLE1_ROWS = (
@@ -50,6 +49,9 @@ TABLE1_ROWS = (
 )
 
 _CHI_DEFAULT = 3.0 * math.pi / 2.0
+# --alpha-points/--chi-points help: the average and the worst case read the grid differently.
+_GRID_HELP = ("{} points of the superposition grid: the average is taken over it, and the "
+              "worst case's descent starts from its minimum, which is an upper bound.")
 
 
 def _fmt(x) -> str:
@@ -175,16 +177,17 @@ def hamiltonian_cmd(n: int, beta: float, phi: float, full: bool, output: str | N
 @click.option("--t-min", type=float, default=0.0, show_default=True)
 @click.option("--t-max", type=float, default=50.0, show_default=True)
 @click.option("--t-steps", type=int, default=501, show_default=True)
-@click.option("--param-min", type=float, default=None,
-              help="Default: 0 for either kind.")
+@click.option("--param-min", type=float, default=0.0, show_default=True)
 @click.option("--param-max", type=float, default=None,
               help="Default: 2*pi*255/256 (phase) or 40 (weight).")
 @click.option("--param-steps", type=int, default=None,
               help="Default: 256 (phase) or 401 (weight).")
-@click.option("--objective", type=click.Choice(["localized", "average", "worst_case"]),
+@click.option("--objective", type=click.Choice(list(_STATISTICS)),
               default="localized", show_default=True)
-@click.option("--alpha-points", type=int, default=41, show_default=True)
-@click.option("--chi-points", type=int, default=64, show_default=True)
+@click.option("--alpha-points", type=int, default=41, show_default=True,
+              help=_GRID_HELP.format("Alpha"))
+@click.option("--chi-points", type=int, default=64, show_default=True,
+              help=_GRID_HELP.format("Chi"))
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def scan_cmd(kind, n, beta, phi, t_min, t_max, t_steps, param_min, param_max,
              param_steps, objective, alpha_points, chi_points, output):
@@ -194,8 +197,6 @@ def scan_cmd(kind, n, beta, phi, t_min, t_max, t_steps, param_min, param_max,
     at the same grid point.
     """
     params = _router(n, beta, phi)
-    if param_min is None:
-        param_min = 0.0
     if param_max is None:
         param_max = TWO_PI * 255.0 / 256.0 if kind == "phase" else 40.0
     if param_steps is None:
@@ -206,21 +207,18 @@ def scan_cmd(kind, n, beta, phi, t_min, t_max, t_steps, param_min, param_max,
         surface = scan(params, grid, objective=objective, sp_grid=sp_grid)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    ts = surface.t_values
-    ps = surface.param_values
-    wrong = np.empty_like(surface.values)
-    for j, p in enumerate(ps):
-        pp = _with_param(params, kind, p)
-        wrong[:, j] = transition_probability(pp, ts, 1, 6)
-    _emit(_surface_csv(ts, ps, surface.values, wrong), output)
+    _emit(_surface_csv(surface.t_values, surface.param_values, surface.values, surface.wrong),
+          output)
 
 
 @main.command("table1")
 @click.option("--row", type=click.Choice(["all", "20", "70", "1000000"]),
               default="all", show_default=True,
               help="Restrict to the rows with this output count.")
-@click.option("--alpha-points", type=int, default=41, show_default=True)
-@click.option("--chi-points", type=int, default=64, show_default=True)
+@click.option("--alpha-points", type=int, default=41, show_default=True,
+              help=_GRID_HELP.format("Alpha"))
+@click.option("--chi-points", type=int, default=64, show_default=True,
+              help=_GRID_HELP.format("Chi"))
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def table1_cmd(row, alpha_points, chi_points, output):
     """Recompute the tabulated high-fidelity configurations and compare."""
@@ -354,7 +352,7 @@ def verify_reduction_cmd(ctx, n_max, trials, seed, tolerance, output):
 
 
 @main.command("optimize")
-@click.option("--objective", type=click.Choice(["localized", "average", "worst_case"]),
+@click.option("--objective", type=click.Choice(list(_STATISTICS)),
               default="localized", show_default=True)
 @click.option("--kind", type=click.Choice(["phase", "weight"]), default="phase",
               show_default=True)
@@ -365,35 +363,28 @@ def verify_reduction_cmd(ctx, n_max, trials, seed, tolerance, output):
 @click.option("--param0", type=float, required=True, help="Starting phase/weight.")
 @click.option("--t-min", type=float, default=0.0, show_default=True)
 @click.option("--t-max", type=float, default=50.0, show_default=True)
-@click.option("--param-min", type=float, default=None,
-              help="Default: 0 for either kind.")
+@click.option("--param-min", type=float, default=0.0, show_default=True)
 @click.option("--param-max", type=float, default=None,
               help="Default: 2*pi (phase) or 40 (weight).")
-@click.option("--alpha-points", type=int, default=41, show_default=True)
-@click.option("--chi-points", type=int, default=64, show_default=True)
+@click.option("--alpha-points", type=int, default=41, show_default=True,
+              help=_GRID_HELP.format("Alpha"))
+@click.option("--chi-points", type=int, default=64, show_default=True,
+              help=_GRID_HELP.format("Chi"))
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def optimize_cmd(objective, kind, n, beta, phi, t0, param0, t_min, t_max,
                  param_min, param_max, alpha_points, chi_points, output):
     """Locally refine (t, phase) or (t, weight) for the chosen objective."""
     params = _router(n, beta, phi)
-    if param_min is None:
-        param_min = 0.0
     if param_max is None:
         param_max = TWO_PI if kind == "phase" else 40.0
     try:
         sp_grid = SuperpositionGrid(alpha_points, chi_points)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-
-    if objective == "localized":
-        fn = lambda t, p: transition_probability(_with_param(params, kind, p), t, 1, 4)
-    elif objective == "average":
-        fn = lambda t, p: average_fidelity(_with_param(params, kind, p), t, sp_grid)
-    else:
-        fn = lambda t, p: min_fidelity(_with_param(params, kind, p), t, sp_grid)
-
+    statistic = _STATISTICS[objective]
     try:
-        result = refine(fn, (t0, param0), ((t_min, t_max), (param_min, param_max)))
+        result = refine(lambda t, p: statistic(_with_param(params, kind, p), t, sp_grid),
+                        (t0, param0), ((t_min, t_max), (param_min, param_max)))
     except ValueError as exc:
         raise click.UsageError(str(exc))
     payload = {

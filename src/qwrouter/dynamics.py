@@ -69,11 +69,6 @@ class Propagator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, psi: PureState) -> PureState:
-        if psi.dim != self.dim:
-            raise ValueError("state dimension does not match propagator")
-        return PureState(self.matrix @ psi.amplitudes)
-
 
 def _hermitian_entries(h: HermitianMatrix | np.ndarray) -> np.ndarray:
     """Validate and return the underlying matrix of a (possibly raw) Hermitian input."""

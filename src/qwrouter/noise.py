@@ -14,8 +14,9 @@ quadrature domain shrinks to ``[-L, L]`` with ``L = min(pi, 10 / sqrt(k))``
 — about ten standard deviations of the narrow-density limit — so nodes are
 never wasted on regions of negligible mass; weights are renormalized to unit
 mass, which makes averaged states exactly trace-one and turns ``k = 0`` into
-the exact uniform phase average.  Each rule's ``eigh`` of ``H(phi + eps_p)``
-is cached, so a whole time curve decomposes each rule it uses once.
+the exact uniform phase average.  Each rule and its ``eigh`` of
+``H(phi + eps_p)`` are cached, so a whole time curve builds and decomposes
+each rule it uses once.
 
 Dynamical noise promotes the phase to a mean-reverting diffusion
 
@@ -51,8 +52,8 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-# numpy.polynomial is imported inside ``_leggauss``, its only user, to keep it off the
-# cost of ``import qwrouter``.
+# numpy.polynomial is imported inside ``_nodes_and_weights``, its only user, to keep it
+# off the cost of ``import qwrouter``.
 
 from .dynamics import PureState, _evolved, _finite_times, _unitaries
 from .hamiltonian import RouterParams, reduced_hamiltonians
@@ -90,7 +91,6 @@ _MAX_DOUBLINGS = 6
 _QUADRATURE_TOL = 1e-8
 _ROUNDOFF = 2.0**-53  # float64 unit roundoff: the Fourier step's tail target
 _MAX_PHASE_NODES = 4096  # Fourier-step phase nodes: |beta| dt up to about 560
-_HARMONIC_BLOCK = 32  # harmonics per GEMM in a Fourier step (bounds scratch)
 _TRAJECTORY_BLOCK = 512  # trajectories evolved together (bounds paths and states)
 # Chebyshev coefficients of Cephes' i0/i0e (S. L. Moshier, Cephes Math Library, i0.c),
 # the ones scipy.special.i0/i0e and numpy.i0 evaluate: _I0_A expands exp(-x) I0(x)
@@ -302,23 +302,19 @@ def von_mises_pdf(eps, k: float):
 
 
 @lru_cache(maxsize=32)
-def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss–Legendre nodes and weights on ``[-1, 1]``, built once per count."""
+def _nodes_and_weights(k: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``points``-node Gauss–Legendre rule over the concentration-adapted
+    domain, with unit-mass weights; built once per ``(k, points)``."""
     from numpy.polynomial.legendre import leggauss
 
-    x, w = leggauss(points)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _nodes_and_weights(k: float, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes over the concentration-adapted domain and unit-mass weights."""
     half_width = math.pi if k <= 0.0 else min(math.pi, 10.0 / math.sqrt(k))
-    x, w = _leggauss(points)
+    x, w = leggauss(points)
     eps = half_width * x
     weights = w * von_mises_pdf(eps, k)
-    return eps, weights / weights.sum()
+    weights = weights / weights.sum()
+    eps.setflags(write=False)
+    weights.setflags(write=False)
+    return eps, weights
 
 
 def _adaptive_average(
@@ -501,13 +497,15 @@ def _evolve_ensemble(
 
     The phase reverts to ``spec.mu``, or to the router's phase when that is
     None.  Each step applies ``U(X_b, dt) = sum_m e^{i m X_b} C_m`` (see
-    ``_step_fourier``): one GEMM of the phase powers against the flattened
-    ``C_m``, in blocks of ``_HARMONIC_BLOCK`` harmonics, then one batched
-    6x6 matrix-vector product.  Trajectories evolve in blocks (``_blocks``),
-    and only ``observe`` of a block's ``(rows, 6)`` state stack is kept:
-    entry ``[j, b]`` of the result is trajectory ``b``'s row of ``observe``
-    at the ``j``-th of the increasing step indices ``snapshots``.  The table
-    is allocated before any block evolves; by default it holds the states.
+    ``_step_fourier``): one power recurrence, one GEMM of the phase powers
+    against the flattened ``C_m``, then one batched 6x6 matrix-vector
+    product.  The powers take ``harmonics x rows`` complex scratch, at most
+    4095 x 513 (about 34 MB) at the ``|beta| dt`` limit of about 560.
+    Trajectories evolve in blocks (``_blocks``), and only ``observe`` of a
+    block's ``(rows, 6)`` state stack is kept: entry ``[j, b]`` of the result
+    is trajectory ``b``'s row of ``observe`` at the ``j``-th of the
+    increasing step indices ``snapshots``.  The table is allocated before any
+    block evolves; by default it holds the states.
     """
     if spec.trajectories < 2:
         raise ValueError("need at least 2 trajectories for ensemble statistics")
@@ -526,20 +524,16 @@ def _evolve_ensemble(
             table[0, lo:hi] = observe(psi)
         if total_steps == 0:
             continue
-        # powers[j, b] = e^{i (h + j - M) X_b} for the block of harmonics starting at h.
-        powers = np.empty((min(harmonics, _HARMONIC_BLOCK), hi - lo), dtype=complex)
+        # powers[j, b] = e^{i (j - M) X_b}.
+        powers = np.empty((harmonics, hi - lo), dtype=complex)
         paths = _phase_paths(spec, mu, total_steps, range(lo, hi))
         for m in range(total_steps):
             x = paths[:, m]
             z = np.exp(1j * x)
-            step = None
-            for h in range(0, harmonics, powers.shape[0]):
-                block = coeffs[h:h + powers.shape[0]]
-                np.exp(1j * (h - cutoff) * x, out=powers[0])
-                for j in range(1, block.shape[0]):
-                    np.multiply(powers[j - 1], z, out=powers[j])
-                term = powers[:block.shape[0]].T @ block
-                step = term if step is None else step + term
+            np.exp(1j * -cutoff * x, out=powers[0])
+            for j in range(1, harmonics):
+                np.multiply(powers[j - 1], z, out=powers[j])
+            step = powers.T @ coeffs
             psi = np.einsum("bij,bj->bi", step.reshape(-1, 6, 6), psi)
             if m + 1 in column:
                 table[column[m + 1], lo:hi] = observe(psi)

@@ -305,19 +305,29 @@ def _descend(f: Callable[[float, float], float], x: float, y: float, best: float
 
 def min_fidelity(
     params: RouterParams,
-    t: float,
+    t,
     grid: SuperpositionGrid | None = None,
     refine: bool = True,
-) -> float:
+) -> float | np.ndarray:
     """Worst-case routing fidelity over (alpha, chi).
 
     Takes the grid minimum and, by default, polishes it with ``_descend``
     (chi unbounded; step-halving until both steps drop below 1e-4), since a
-    bare grid minimum can overestimate the true worst case.
+    bare grid minimum can overestimate the true worst case.  A float for a
+    scalar ``t``; an array of the shape of ``t`` for an array of times, whose
+    elements come from one ``u_element_curve`` call.
     """
     if grid is None:
         grid = SuperpositionGrid()
-    u = u_element_curve(params, t, *_TRANSFER).tolist()
+    u = u_element_curve(params, t, *_TRANSFER)
+    if u.ndim == 1:
+        return _min_at(u.tolist(), grid, refine)
+    cells = np.moveaxis(u, 0, -1).reshape(-1, 4).tolist()
+    return np.array([_min_at(c, grid, refine) for c in cells], dtype=float).reshape(u.shape[1:])
+
+
+def _min_at(u: list[complex], grid: SuperpositionGrid, refine: bool) -> float:
+    """``min_fidelity`` at one time from ``u = (U41, U42, U31, U32)``."""
     f = _grid_from_elements(u, grid)
     i, j = np.unravel_index(np.argmin(f), f.shape)
     best = float(f[i, j])

@@ -28,7 +28,13 @@ __all__ = [
 ]
 
 _KINDS = ("phase", "weight")
-_OBJECTIVES = ("localized", "average", "worst_case")
+# Objective name -> (params, t, grid) -> fidelities shaped like t.  The lambdas look the
+# statistics up when called, so wrappers rebound on this module's names see every call.
+_STATISTICS = {
+    "localized": lambda params, t, grid: transition_probability(params, t, 1, 4),
+    "average": lambda params, t, grid: average_fidelity(params, t, grid),
+    "worst_case": lambda params, t, grid: min_fidelity(params, t, grid),
+}
 
 
 @dataclass(frozen=True)
@@ -64,13 +70,17 @@ class ScanGrid:
 
 @dataclass(frozen=True, eq=False)
 class ScanSurface:
-    """Fidelity surface with its axes; rows follow t, columns follow the parameter."""
+    """Fidelity surface with its axes; rows follow t, columns follow the parameter.
+
+    ``wrong``, when given, holds the localized input's wrong-output
+    probability ``P16`` at each cell, in the shape of ``values``.
+    """
 
     values: np.ndarray
     t_values: np.ndarray
     param_values: np.ndarray
     param_kind: str
-    params_base: RouterParams | None = None
+    wrong: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -80,11 +90,14 @@ class ScanSurface:
             raise ValueError("surface shape must be (len(t_values), len(param_values))")
         if self.param_kind not in _KINDS:
             raise ValueError(f"param_kind must be one of {_KINDS}")
-        for arr in (vals, ts, ps):
+        arrays = {"values": vals, "t_values": ts, "param_values": ps}
+        if self.wrong is not None:
+            arrays["wrong"] = np.asarray(self.wrong, dtype=float)
+            if arrays["wrong"].shape != vals.shape:
+                raise ValueError("wrong must have the shape of values")
+        for name, arr in arrays.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "t_values", ts)
-        object.__setattr__(self, "param_values", ps)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -120,28 +133,25 @@ def scan(
     objective: str = "localized",
     sp_grid: SuperpositionGrid | None = None,
 ) -> ScanSurface:
-    """Dense fidelity surface over the grid; deterministic.
+    """Dense fidelity surface over the grid, with ``P16`` per cell; deterministic.
 
-    ``localized`` evaluates the input-to-target transition probability and
-    ``average`` the mean superposition fidelity, each in one call per
-    parameter column; ``worst_case`` evaluates ``min_fidelity`` per cell (one
-    spectral decomposition per parameter column in every case).
+    ``localized`` evaluates the input-to-target transition probability,
+    ``average`` the mean and ``worst_case`` the minimum superposition
+    fidelity.  Every objective and ``P16`` take one call per parameter
+    column, so one spectral decomposition serves each column.
     """
-    if objective not in _OBJECTIVES:
-        raise ValueError(f"objective must be one of {_OBJECTIVES}")
+    if objective not in _STATISTICS:
+        raise ValueError(f"objective must be one of {tuple(_STATISTICS)}")
+    statistic = _STATISTICS[objective]
     ts = grid.t_values()
     ps = grid.param_values()
-    out = np.empty((ts.size, ps.size))
+    values = np.empty((ts.size, ps.size))
+    wrong = np.empty_like(values)
     for j, p in enumerate(ps):
         params = _with_param(params_base, grid.param_kind, p)
-        if objective == "localized":
-            out[:, j] = transition_probability(params, ts, 1, 4)
-        elif objective == "average":
-            out[:, j] = average_fidelity(params, ts, sp_grid)
-        else:
-            for i, t in enumerate(ts):
-                out[i, j] = min_fidelity(params, float(t), sp_grid)
-    return ScanSurface(out, ts, ps, grid.param_kind, params_base)
+        values[:, j] = statistic(params, ts, sp_grid)
+        wrong[:, j] = transition_probability(params, ts, 1, 6)
+    return ScanSurface(values, ts, ps, grid.param_kind, wrong)
 
 
 def _run_width(vals: np.ndarray, idx: int, threshold: float, spacing: float) -> float:
@@ -192,15 +202,10 @@ def find_peaks(
             for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
                 if 0 <= ni < nt and 0 <= nj < npar and candidate[ni, nj] and not seen[ni, nj]:
                     stack.append((ni, nj))
-        t_here = float(surface.t_values[pi])
-        p_here = float(surface.param_values[pj])
-        wrong = None
-        if surface.params_base is not None:
-            params = _with_param(surface.params_base, surface.param_kind, p_here)
-            wrong = transition_probability(params, t_here, 1, 6)
+        wrong = None if surface.wrong is None else float(surface.wrong[pi, pj])
         peaks.append(
             PeakReport(
-                location=(t_here, p_here),
+                location=(float(surface.t_values[pi]), float(surface.param_values[pj])),
                 value=float(v[pi, pj]),
                 width_t=_run_width(v[:, pj], pi, threshold, float(dt)),
                 width_param=_run_width(v[pi, :], pj, threshold, float(dp)),

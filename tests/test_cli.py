@@ -333,6 +333,14 @@ class TestOptimizeCommand:
         assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["scan", "optimize"])
+def test_objective_choices_are_the_statistics_table(command):
+    from qwrouter.search import _STATISTICS
+
+    (option,) = [p for p in main.commands[command].params if p.name == "objective"]
+    assert list(option.type.choices) == list(_STATISTICS)
+
+
 class TestConfigFile:
     def write_config(self, tmp_path, data):
         path = tmp_path / "config.json"

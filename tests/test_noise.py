@@ -31,16 +31,14 @@ from qwrouter import (
 )
 from qwrouter import noise
 from qwrouter.noise import (
-    _HARMONIC_BLOCK,
     _TRAJECTORY_BLOCK,
     _adaptive_average,
     _blocks,
     _evolve_ensemble,
     _i0_parts,
-    _leggauss,
     _node_spectrum,
+    _nodes_and_weights,
     _phase_paths,
-    _step_fourier,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -314,13 +312,30 @@ class TestNodeSpectrumCache:
 
 class TestLeggaussCache:
     def test_rule_is_cached_and_read_only(self):
-        x, w = _leggauss(129)
-        assert _leggauss(129)[0] is x
+        x, w = _nodes_and_weights(12.5, 129)
+        assert _nodes_and_weights(12.5, 129)[0] is x
         assert not x.flags.writeable and not w.flags.writeable
         with pytest.raises(ValueError):
             x[0] = 0.0
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+    def test_density_is_evaluated_once_per_rule(self, monkeypatch):
+        sizes = []
+        pdf = noise.von_mises_pdf
+
+        def counted(eps, k):
+            sizes.append(eps.size)
+            return pdf(eps, k)
+
+        monkeypatch.setattr(noise, "von_mises_pdf", counted)
+        _nodes_and_weights.cache_clear()
+        _node_spectrum.cache_clear()
+        used = [static_noise_fidelity(PEAK, t, SP, VonMisesSpec(3.7)).points_used
+                for t in (1.0, 5.0, 18.55)]
+        # One evaluation per rule the curve reaches, not one per rule and time.
+        assert sizes == [129 * 2**d for d in range(len(sizes))]
+        assert sizes[-1] == max(used)
 
 
 class TestStaticNoiseState:
@@ -512,11 +527,6 @@ class TestFourierStep:
         np.testing.assert_array_equal(start, np.broadcast_to(psi0, (5, 6)))
         np.testing.assert_array_equal(mid, _evolve_ensemble(PEAK, psi0, spec, [10])[0])
         np.testing.assert_array_equal(end, _evolve_ensemble(PEAK, psi0, spec, [30])[0])
-
-    def test_large_beta_dt_uses_several_blocks(self):
-        # |beta| dt = 20 keeps 191 harmonics, so the reference comparison above
-        # covers the blocked application of the harmonics.
-        assert _step_fourier(5, -100.0, 0.2).shape[0] > 2 * _HARMONIC_BLOCK
 
     def test_zero_volatility_is_noiseless_propagator(self):
         params = RouterParams(20, 1.0, 4.712)

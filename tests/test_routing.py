@@ -261,9 +261,10 @@ class TestGridStatistics:
 
         monkeypatch.setattr(routing, "u_element_curve", counting)
         for refine in (False, True):
-            calls.clear()
-            min_fidelity(p, 18.523, grid, refine=refine)
-            assert len(calls) == 1
+            for t in (18.523, np.linspace(0.0, 25.0, 101)):
+                calls.clear()
+                min_fidelity(p, t, grid, refine=refine)
+                assert len(calls) == 1
         # The unrefined minimum is the grid minimum, bit for bit.
         assert min_fidelity(p, 18.523, grid, refine=False) == float(
             fidelity_grid(p, 18.523, grid).min()
@@ -434,6 +435,22 @@ class TestAgainstFormerLoops:
             params, t = random_router(rng)
             got = min_fidelity(params, t, grid)
             assert abs(got - min_fidelity_loop_reference(params, t, grid)) <= 1e-15
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_min_fidelity_over_time_arrays(self, refine):
+        grid = SuperpositionGrid(9, 12)
+        rng = np.random.default_rng(47)
+        for _ in range(8):
+            params, _ = random_router(rng)
+            ts = rng.uniform(0.0, 50.0, (3, 7))
+            table = min_fidelity(params, ts, grid, refine=refine)
+            assert table.shape == ts.shape
+            np.testing.assert_array_equal(min_fidelity(params, ts[1], grid, refine=refine),
+                                          table[1])
+            for got, t in zip(table.ravel().tolist(), ts.ravel().tolist()):
+                assert abs(got - min_fidelity(params, t, grid, refine=refine)) <= 1e-15
+        assert min_fidelity(params, np.empty((0, 4)), grid, refine=refine).shape == (0, 4)
+        assert type(min_fidelity(params, np.float64(2.0), grid, refine=refine)) is float
 
     @pytest.mark.parametrize("row", TABLE1_ROWS, ids=lambda r: f"n{r[0]}-{r[3]}")
     def test_min_fidelity_matches_loop_on_table1(self, row):

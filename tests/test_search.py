@@ -12,13 +12,14 @@ from qwrouter import (
     SuperpositionGrid,
     average_fidelity,
     find_peaks,
+    min_fidelity,
     refine,
     scan,
     transition_probability,
 )
 
 
-def synthetic_surface(values, params_base=None, param_kind="phase"):
+def synthetic_surface(values, param_kind="phase"):
     values = np.asarray(values, dtype=float)
     nt, npar = values.shape
     return ScanSurface(
@@ -26,7 +27,6 @@ def synthetic_surface(values, params_base=None, param_kind="phase"):
         t_values=np.linspace(0.0, nt - 1.0, nt),
         param_values=np.linspace(0.0, npar - 1.0, npar),
         param_kind=param_kind,
-        params_base=params_base,
     )
 
 
@@ -167,6 +167,49 @@ class TestScan:
                 for i, t in enumerate(surface.t_values.tolist()):
                     assert abs(surface.values[i, j] - average_fidelity(params, t, sp)) <= 1e-15
 
+    def test_worst_case_columns_match_cells(self):
+        # One min_fidelity call per column against the former per-cell loop.
+        base = RouterParams(30, 1.0, 0.3)
+        grid = ScanGrid((0.0, 40.0, 21), (0.2, 2.0, 4), "weight")
+        for sp in (None, SuperpositionGrid(9, 12, "haar")):
+            surface = scan(base, grid, objective="worst_case", sp_grid=sp)
+            for j, p in enumerate(surface.param_values.tolist()):
+                params = RouterParams(30, p, 0.3)
+                for i, t in enumerate(surface.t_values.tolist()):
+                    assert abs(surface.values[i, j] - min_fidelity(params, t, sp)) <= 1e-15
+
+    def test_statistics_are_looked_up_when_called(self, monkeypatch):
+        # A wrapper bound to the module's name, as a tracer installs, sees each column's call.
+        from qwrouter import search
+
+        calls = []
+        real = search.min_fidelity
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(search, "min_fidelity", counting)
+        grid = ScanGrid((0.0, 1.0, 3), (0.0, 1.0, 4), "phase")
+        scan(RouterParams(8, 1.0, 0.0), grid, "worst_case", SuperpositionGrid(3, 4))
+        assert len(calls) == 4
+
+    def test_wrong_matches_cells_for_every_objective(self):
+        base = RouterParams(12, 0.8, 0.0)
+        grid = ScanGrid((0.0, 20.0, 11), (0.0, 6.0, 5), "phase")
+        surface = scan(base, grid)
+        for j, p in enumerate(surface.param_values.tolist()):
+            params = RouterParams(12, 0.8, p)
+            for i, t in enumerate(surface.t_values.tolist()):
+                cell = transition_probability(params, t, 1, 6)
+                assert abs(surface.wrong[i, j] - cell) <= 1e-15
+        with pytest.raises(ValueError):
+            surface.wrong[0, 0] = 0.0
+        sp = SuperpositionGrid(3, 4)
+        for objective in ("average", "worst_case"):
+            other = scan(base, grid, objective=objective, sp_grid=sp)
+            np.testing.assert_array_equal(other.wrong, surface.wrong)
+
     def test_rejects_unknown_objective(self):
         base = RouterParams(5, 1.0, 0.0)
         grid = ScanGrid((0.0, 1.0, 2), (0.0, 1.0, 2), "phase")
@@ -182,6 +225,17 @@ class TestScanSurface:
                 t_values=np.arange(3.0),
                 param_values=np.arange(5.0),
                 param_kind="phase",
+            )
+
+
+    def test_wrong_shape_mismatch(self):
+        with pytest.raises(ValueError, match="wrong"):
+            ScanSurface(
+                values=np.zeros((3, 4)),
+                t_values=np.arange(3.0),
+                param_values=np.arange(4.0),
+                param_kind="phase",
+                wrong=np.zeros((4, 3)),
             )
 
 
