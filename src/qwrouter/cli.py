@@ -10,6 +10,7 @@ explicit flags win over the config, the config wins over built-ins.  The
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -49,9 +50,31 @@ TABLE1_ROWS = (
 )
 
 _CHI_DEFAULT = 3.0 * math.pi / 2.0
-# --alpha-points/--chi-points help: the average and the worst case read the grid differently.
 _GRID_HELP = ("{} points of the superposition grid: the average is taken over it, and the "
               "worst case's descent starts from its minimum, which is an upper bound.")
+
+
+class _Command(click.Command):
+    """Every subcommand: a library ``ValueError`` exits 2 as a usage error, with its message."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+def _superposition_grid(command):
+    """Declare ``--alpha-points``/``--chi-points`` and pass ``command`` one ``sp_grid``."""
+    @click.option("--alpha-points", type=int, default=41, show_default=True,
+                  help=_GRID_HELP.format("Alpha"))
+    @click.option("--chi-points", type=int, default=64, show_default=True,
+                  help=_GRID_HELP.format("Chi"))
+    @functools.wraps(command)
+    def with_grid(*args, alpha_points: int, chi_points: int, **kwargs):
+        return command(*args, sp_grid=SuperpositionGrid(alpha_points, chi_points), **kwargs)
+
+    return with_grid
 
 
 def _fmt(x) -> str:
@@ -75,21 +98,17 @@ def _surface_csv(ts: np.ndarray, ps: np.ndarray, values: np.ndarray,
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write output file: {exc}")
     else:
         click.echo(text, nl=False)
 
 
 def _matrix_pairs(arr: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
-
-
-def _router(n: int, beta: float, phi: float) -> RouterParams:
-    try:
-        return RouterParams(n_outputs=n, beta=beta, phi=phi)
-    except (ValueError, TypeError) as exc:
-        raise click.UsageError(str(exc))
 
 
 def _load_config(ctx: click.Context, path: str) -> None:
@@ -136,6 +155,9 @@ def main(ctx: click.Context, config: str | None) -> None:
         _load_config(ctx, config)
 
 
+main.command_class = _Command
+
+
 @main.command("hamiltonian")
 @click.option("--n", type=int, required=True, help="Number of outputs (>= 2).")
 @click.option("--beta", type=float, default=1.0, show_default=True)
@@ -149,7 +171,7 @@ def main(ctx: click.Context, config: str | None) -> None:
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def hamiltonian_cmd(n: int, beta: float, phi: float, full: bool, output: str | None):
     """Dump a router Hamiltonian as JSON ([re, im] pairs, row-major)."""
-    params = _router(n, beta, phi)
+    params = RouterParams(n_outputs=n, beta=beta, phi=phi)
     if full:
         matrix = build_full_hamiltonian(params).entries
         kind = "full"
@@ -184,29 +206,22 @@ def hamiltonian_cmd(n: int, beta: float, phi: float, full: bool, output: str | N
               help="Default: 256 (phase) or 401 (weight).")
 @click.option("--objective", type=click.Choice(list(_STATISTICS)),
               default="localized", show_default=True)
-@click.option("--alpha-points", type=int, default=41, show_default=True,
-              help=_GRID_HELP.format("Alpha"))
-@click.option("--chi-points", type=int, default=64, show_default=True,
-              help=_GRID_HELP.format("Chi"))
+@_superposition_grid
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def scan_cmd(kind, n, beta, phi, t_min, t_max, t_steps, param_min, param_max,
-             param_steps, objective, alpha_points, chi_points, output):
+             param_steps, objective, sp_grid, output):
     """Fidelity surface as CSV rows ``t,param,fidelity,p_wrong``.
 
     ``p_wrong`` is the total wrong-output probability for a localized input
     at the same grid point.
     """
-    params = _router(n, beta, phi)
+    params = RouterParams(n_outputs=n, beta=beta, phi=phi)
     if param_max is None:
         param_max = TWO_PI * 255.0 / 256.0 if kind == "phase" else 40.0
     if param_steps is None:
         param_steps = 256 if kind == "phase" else 401
-    try:
-        grid = ScanGrid((t_min, t_max, t_steps), (param_min, param_max, param_steps), kind)
-        sp_grid = SuperpositionGrid(alpha_points, chi_points)
-        surface = scan(params, grid, objective=objective, sp_grid=sp_grid)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    grid = ScanGrid((t_min, t_max, t_steps), (param_min, param_max, param_steps), kind)
+    surface = scan(params, grid, objective=objective, sp_grid=sp_grid)
     _emit(_surface_csv(surface.t_values, surface.param_values, surface.values, surface.wrong),
           output)
 
@@ -215,26 +230,19 @@ def scan_cmd(kind, n, beta, phi, t_min, t_max, t_steps, param_min, param_max,
 @click.option("--row", type=click.Choice(["all", "20", "70", "1000000"]),
               default="all", show_default=True,
               help="Restrict to the rows with this output count.")
-@click.option("--alpha-points", type=int, default=41, show_default=True,
-              help=_GRID_HELP.format("Alpha"))
-@click.option("--chi-points", type=int, default=64, show_default=True,
-              help=_GRID_HELP.format("Chi"))
+@_superposition_grid
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
-def table1_cmd(row, alpha_points, chi_points, output):
+def table1_cmd(row, sp_grid, output):
     """Recompute the tabulated high-fidelity configurations and compare."""
-    try:
-        grid = SuperpositionGrid(alpha_points, chi_points)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     report = []
     for n, t, phi, statistic, reference in TABLE1_ROWS:
         if row != "all" and str(n) != row:
             continue
         params = RouterParams(n_outputs=n, beta=1.0, phi=phi)
         if statistic == "average":
-            computed = average_fidelity(params, t, grid)
+            computed = average_fidelity(params, t, sp_grid)
         else:
-            computed = min_fidelity(params, t, grid)
+            computed = min_fidelity(params, t, sp_grid)
         report.append(
             {
                 "n": n,
@@ -274,23 +282,17 @@ def noise_cmd(model, n, beta, phi, alpha, chi, t_max, t_steps, k, theta, sigma, 
     The stderr column is filled for the trajectory-averaged (ou) model and
     empty for the quadrature-averaged (vonmises) model.
     """
-    params = _router(n, beta, phi)
+    params = RouterParams(n_outputs=n, beta=beta, phi=phi)
     if t_steps < 2:
         raise click.UsageError("t-steps must be >= 2")
     if not (math.isfinite(t_max) and t_max > 0):
         raise click.UsageError("t-max must be positive")
-    try:
-        sp = SuperpositionParams(alpha=alpha, chi=chi)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    sp = SuperpositionParams(alpha=alpha, chi=chi)
     lines = ["t,fidelity,stderr"]
     if model == "vonmises":
         if k is None:
             raise click.UsageError("--k is required for the vonmises model")
-        try:
-            vm = VonMisesSpec(k=k)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        vm = VonMisesSpec(k=k)
         unconverged = []
         for j in range(t_steps):
             t = j * t_max / (t_steps - 1)
@@ -302,14 +304,12 @@ def noise_cmd(model, n, beta, phi, alpha, chi, t_max, t_steps, k, theta, sigma, 
             click.echo("warning: von Mises quadrature did not converge at "
                        + ", ".join(unconverged), err=True)
     else:
+        spec = OUSpec(theta=theta, mu=mu, sigma_vol=sigma, dt=dt,
+                      trajectories=trajectories, seed=seed)
         try:
-            spec = OUSpec(theta=theta, mu=mu, sigma_vol=sigma, dt=dt,
-                          trajectories=trajectories, seed=seed)
             times, values, errors = ou_fidelity_curve(
                 params, input_state(sp), target_state(sp), spec, t_max, snapshots=t_steps
             )
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
         except MemoryError:
             raise click.UsageError(
                 f"the fidelity table of --trajectories {trajectories} at --t-steps "
@@ -337,10 +337,7 @@ def verify_reduction_cmd(ctx, n_max, trials, seed, tolerance, output):
     Exits 1 if any projected full-graph evolution deviates from the reduced
     evolution by more than the tolerance.
     """
-    try:
-        worst = verify_reduction(n_max, trials, np.random.default_rng(seed))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    worst = verify_reduction(n_max, trials, np.random.default_rng(seed))
     lines = [f"n={n}: max deviation {w:.3e}" for n, w in enumerate(worst, start=2)]
     overall = max(worst)
     ok = overall <= tolerance
@@ -366,27 +363,17 @@ def verify_reduction_cmd(ctx, n_max, trials, seed, tolerance, output):
 @click.option("--param-min", type=float, default=0.0, show_default=True)
 @click.option("--param-max", type=float, default=None,
               help="Default: 2*pi (phase) or 40 (weight).")
-@click.option("--alpha-points", type=int, default=41, show_default=True,
-              help=_GRID_HELP.format("Alpha"))
-@click.option("--chi-points", type=int, default=64, show_default=True,
-              help=_GRID_HELP.format("Chi"))
+@_superposition_grid
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def optimize_cmd(objective, kind, n, beta, phi, t0, param0, t_min, t_max,
-                 param_min, param_max, alpha_points, chi_points, output):
+                 param_min, param_max, sp_grid, output):
     """Locally refine (t, phase) or (t, weight) for the chosen objective."""
-    params = _router(n, beta, phi)
+    params = RouterParams(n_outputs=n, beta=beta, phi=phi)
     if param_max is None:
         param_max = TWO_PI if kind == "phase" else 40.0
-    try:
-        sp_grid = SuperpositionGrid(alpha_points, chi_points)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     statistic = _STATISTICS[objective]
-    try:
-        result = refine(lambda t, p: statistic(_with_param(params, kind, p), t, sp_grid),
-                        (t0, param0), ((t_min, t_max), (param_min, param_max)))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    result = refine(lambda t, p: statistic(_with_param(params, kind, p), t, sp_grid),
+                    (t0, param0), ((t_min, t_max), (param_min, param_max)))
     payload = {
         "objective": objective,
         "kind": kind,

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import hamiltonian
 from .hamiltonian import TWO_PI, HermitianMatrix, RouterParams
 
-__all__ = ["PureState", "Propagator", "propagator", "evolve", "evolve_piecewise",
-           "verify_reduction"]
+__all__ = ["PureState", "Propagator", "propagator", "evolve", "verify_reduction"]
 
 _HERMITICITY_TOL = 1e-10
 _UNITARITY_TOL = 1e-10
@@ -35,7 +33,7 @@ class PureState:
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must be a nonempty 1-d vector")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > _HERMITICITY_TOL:
+        if not abs(norm_sq - 1.0) <= _HERMITICITY_TOL:  # a NaN amplitude fails too
             raise ValueError(f"state norm^2 = {norm_sq!r} is not 1 within 1e-10")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -58,7 +56,7 @@ class Propagator:
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("matrix must be square")
         defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-        if defect > _UNITARITY_TOL:
+        if not defect <= _UNITARITY_TOL:  # a NaN entry fails too
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         u = u.copy()
         u.setflags(write=False)
@@ -86,6 +84,7 @@ def _hermitian_entries(h: HermitianMatrix | np.ndarray) -> np.ndarray:
 def _unitaries(h: np.ndarray, t: float) -> np.ndarray:
     """``exp(-i h t)`` for Hermitian ``h`` of shape ``(..., d, d)``, with any leading batch shape."""
     w, q = np.linalg.eigh(h)
+    t = _checked_times(t, w)
     return (q * np.exp(-1j * w * t)[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
@@ -94,26 +93,32 @@ def _evolved(spectrum: tuple[np.ndarray, np.ndarray], t: float, amps: np.ndarray
     shape ``(..., d, d)`` and ``amps`` of shape ``(d,)`` or ``(..., d)``, without forming
     the propagators; callers that evolve to many times decompose once."""
     w, q = spectrum
+    t = _checked_times(t, w)
     coeff = np.exp(-1j * w * t) * (q.conj().swapaxes(-1, -2) @ amps[..., None])[..., 0]
     return (q @ coeff[..., None])[..., 0]
 
 
-def _finite_times(t) -> np.ndarray:
-    """``t`` as a float array; a NaN or infinite time raises ``ValueError``."""
+def _checked_times(t, w: np.ndarray) -> np.ndarray:
+    """``t`` as a float array; ``ValueError`` unless every phase ``w t`` is finite, since
+    ``exp(-i w t)`` is NaN otherwise.  ``w`` ascends along its last axis, as from ``eigh``."""
     t = np.asarray(t, dtype=float)
-    # math.isfinite skips a numpy reduction on the scalar time every routing statistic passes.
-    if not (math.isfinite(t) if t.ndim == 0 else np.isfinite(t).all()):
-        raise ValueError("t must be finite")
+    if t.ndim == 0 and w.ndim == 1:  # Python floats: no numpy reduction for a scalar time
+        finite = math.isfinite(float(t) * float(w[0])) and math.isfinite(float(t) * float(w[-1]))
+    else:
+        finite = math.isfinite(float(np.abs(t).max(initial=0.0))
+                               * float(np.abs(w[..., [0, -1]]).max(initial=0.0)))
+    if not finite:
+        raise ValueError("t must be finite" if not np.isfinite(t).all()
+                         else "t is too large: the phases w t overflow for this Hamiltonian")
     return t
 
 
 def propagator(h: HermitianMatrix | np.ndarray, t: float) -> Propagator:
     """Evolution operator ``exp(-i h t)``.
 
-    Rejects non-finite ``t`` and inputs whose conjugate asymmetry exceeds
-    1e-10.
+    Rejects a ``t`` that is non-finite or overflows a phase, and inputs whose
+    conjugate asymmetry exceeds 1e-10.
     """
-    t = _finite_times(t)
     return Propagator(_unitaries(_hermitian_entries(h), t), t)
 
 
@@ -122,28 +127,7 @@ def evolve(h: HermitianMatrix | np.ndarray, t: float, psi0: PureState) -> PureSt
     entries = _hermitian_entries(h)
     if psi0.dim != entries.shape[0]:
         raise ValueError("state dimension does not match Hamiltonian")
-    return PureState(_evolved(np.linalg.eigh(entries), _finite_times(t), psi0.amplitudes))
-
-
-def evolve_piecewise(
-    h_sequence: Sequence[HermitianMatrix | np.ndarray] | Iterable,
-    dt: float,
-    psi0: PureState,
-) -> PureState:
-    """Piecewise-constant evolution: apply ``exp(-i H_m dt)`` in sequence order.
-
-    The first element of the sequence acts first (earliest time), i.e. the
-    result is ``U_M ... U_2 U_1 psi0``.
-    """
-    dt = float(dt)
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError("dt must be positive and finite")
-    hs = list(h_sequence)
-    if not hs:
-        raise ValueError("h_sequence must not be empty")
-    for h in hs:
-        psi0 = evolve(h, dt, psi0)
-    return psi0
+    return PureState(_evolved(np.linalg.eigh(entries), t, psi0.amplitudes))
 
 
 def verify_reduction(n_max: int, trials: int, rng: np.random.Generator) -> list[float]:

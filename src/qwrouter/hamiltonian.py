@@ -26,6 +26,7 @@ the six-state model agrees with the full graph entrywise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ def _check_n_outputs(n) -> None:
         raise TypeError("n_outputs must be an integer")
     if n < 2:
         raise ValueError("n_outputs must be >= 2")
+    if n > sys.float_info.max:  # the reduced Hamiltonian holds n - 2 and sqrt(n - 1) as floats
+        raise ValueError(f"n_outputs must be at most {sys.float_info.max!r}")
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ import numpy as np
 # numpy.polynomial is imported inside ``_nodes_and_weights``, its only user, to keep it
 # off the cost of ``import qwrouter``.
 
-from .dynamics import PureState, _evolved, _finite_times, _unitaries
+from .dynamics import PureState, _evolved, _unitaries
 from .hamiltonian import RouterParams, reduced_hamiltonians
 from .routing import (
     DensityMatrix,
@@ -78,8 +78,6 @@ __all__ = [
     "ou_stationary_draws",
     "ou_ensemble_state",
     "ou_fidelity_curve",
-    "noise_equivalence",
-    "noise_equivalence_inverse",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -358,8 +356,6 @@ def _static_average(params: RouterParams, t: float, amps0: np.ndarray, k: float,
     """``_adaptive_average`` of ``reduce(states, weights)``, where row ``p`` of
     ``states`` is ``exp(-i H(phi + eps_p) t) amps0`` at quadrature node ``eps_p``,
     evolved from the rule's cached spectrum."""
-    t = _finite_times(t)
-
     def quadrature(eps: np.ndarray, wts: np.ndarray):
         return reduce(_evolved(_node_spectrum(params, k, eps.size), t, amps0), wts)
 
@@ -588,20 +584,3 @@ def ou_fidelity_curve(
     stats = np.array([_mean_and_stderr(f) for f in table])
     return np.array(wanted) * spec.dt, stats[:, 0], stats[:, 1]
 
-
-def noise_equivalence(k: float, theta: float = 1.0) -> tuple[float, tuple[float, float]]:
-    """Map a concentration ``k`` to the equivalent Gaussian variance and OU parameters.
-
-    ``sigma^2 = 1 / k``; the matched process at mean-reversion ``theta`` has
-    ``Sigma = sqrt(2 theta / k)`` so that ``Sigma^2 / (2 theta) = 1 / k``.
-    """
-    sigma_sq = 1.0 / _positive("k", k)
-    theta = _positive("theta", theta)
-    return sigma_sq, (theta, math.sqrt(2.0 * theta * sigma_sq))
-
-
-def noise_equivalence_inverse(theta: float, sigma_vol: float) -> tuple[float, float]:
-    """Map OU parameters to the equivalent Gaussian variance and concentration ``k``."""
-    theta = _positive("theta", theta)
-    sigma_sq = _positive("sigma_vol", sigma_vol) ** 2 / (2.0 * theta)
-    return sigma_sq, 1.0 / sigma_sq

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import PureState, _finite_times
+from .dynamics import PureState, _checked_times
 from .hamiltonian import TWO_PI, RouterParams, build_reduced_hamiltonian
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "fidelity_grid",
     "average_fidelity",
     "min_fidelity",
-    "mixed_state_fidelity",
 ]
 
 _DM_TOL = 1e-10
@@ -145,10 +144,10 @@ def u_element_curve(params: RouterParams, ts, rows, cols) -> np.ndarray:
     ``rows``/``cols`` are ints or equal-length index lists; the result has
     the shape of ``ts`` for ints and ``(len(rows),) + shape(ts)`` for lists,
     for ``ts`` of any dimension.  Every routing statistic reads its elements
-    here, so a non-finite time raises ``ValueError`` for all of them.
+    here, so a non-finite time or overflowing phase raises ``ValueError``.
     """
-    ts = _finite_times(ts)
     w, q = _spectrum(params)
+    ts = _checked_times(ts, w)
     coeffs = q[rows] * np.conj(q[cols])
     if ts.ndim == 0:
         return coeffs @ np.exp(-1j * (w * ts))
@@ -340,34 +339,3 @@ def _min_at(u: list[complex], grid: SuperpositionGrid, refine: bool) -> float:
                               1.0 / max(grid.alpha_points - 1, 1), TWO_PI / grid.chi_points, 1e-4)
     return _clamp01(best)
 
-
-def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    w, q = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    return (q * np.sqrt(w)) @ q.conj().T
-
-
-def _uhlmann_fidelity_general(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """``[tr sqrt(sqrt(rho) sigma sqrt(rho))]^2`` without purity shortcuts."""
-    a = _sqrt_psd(rho)
-    w = np.linalg.eigvalsh(a @ sigma @ a)
-    return _clamp01(float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2))
-
-
-def mixed_state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity between density matrices.
-
-    When either argument is pure the expression collapses to an expectation
-    value (``<w|sigma|w>``), which is taken as a required fast path.
-    """
-    if rho.dim != sigma.dim:
-        raise ValueError("density matrices must share a dimension")
-    r = rho.entries
-    s = sigma.entries
-    for pure, other in ((r, s), (s, r)):
-        purity = float(np.trace(pure @ pure).real)
-        if purity > 1.0 - 1e-10:
-            w, q = np.linalg.eigh(pure)
-            vec = q[:, -1]
-            return _clamp01(float(np.vdot(vec, other @ vec).real))
-    return _uhlmann_fidelity_general(r, s)

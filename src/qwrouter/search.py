@@ -115,6 +115,8 @@ class PeakReport:
 
 @dataclass(frozen=True)
 class RefineResult:
+    """Result of ``refine``; ``converged`` is always True: the descent has no evaluation cap."""
+
     point: tuple[float, float]
     value: float
     converged: bool

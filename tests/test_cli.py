@@ -341,6 +341,48 @@ def test_objective_choices_are_the_statistics_table(command):
     assert list(option.type.choices) == list(_STATISTICS)
 
 
+# Invalid inputs covering every subcommand and each kind of failure (a huge n, an
+# unwritable output, overflowing phases, library validation), with the exit-2 message.
+INVALID_INPUTS = [
+    (["hamiltonian", "--n", str(10**400)],
+     "n_outputs must be at most 1.7976931348623157e+308"),
+    (["hamiltonian", "--n", "3", "--output", "{missing}"],
+     "cannot write output file: [Errno 2] No such file or directory: '{missing}'"),
+    (["scan", "weight", "--n", "5", "--t-steps", "3", "--param-steps", "2", "--t-max", "1e308"],
+     "t is too large: the phases w t overflow for this Hamiltonian"),
+    (["noise", "vonmises", "--n", "5", "--k", "1", "--t-steps", "3", "--t-max", "1e308"],
+     "t is too large: the phases w t overflow for this Hamiltonian"),
+    (["hamiltonian", "--n", "1"], "n_outputs must be >= 2"),
+    (["scan", "phase", "--n", "4", "--t-steps", "1"], "t_range: steps must be >= 2"),
+    (["scan", "phase", "--n", "4", "--alpha-points", "0"], "grid must be non-empty"),
+    (["table1", "--chi-points", "-3"], "grid must be non-empty"),
+    (["noise", "vonmises", "--n", "20", "--k", "-1", "--t-steps", "3"],
+     "k must be finite and >= 0"),
+    (["noise", "vonmises", "--n", "20", "--k", "1", "--alpha", "2"], "alpha must lie in [0, 1]"),
+    (["noise", "ou", "--n", "20", "--theta", "0", "--trajectories", "2", "--t-max", "0.1"],
+     "theta must be finite and > 0"),
+    (["noise", "ou", "--n", "20", "--trajectories", "1"],
+     "need at least 2 trajectories for ensemble statistics"),
+    (["verify-reduction", "--n-max", "1"], "n_max must be >= 2"),
+    (["optimize", "--n", "20", "--t0", "99", "--param0", "1"], "start must lie within bounds"),
+    (["optimize", "--n", "20", "--t0", "1", "--param0", "1", "--alpha-points", "0"],
+     "grid must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("args, message", INVALID_INPUTS)
+def test_invalid_input_exits_2_with_one_error_line(runner, tmp_path, args, message):
+    missing = str(tmp_path / "missing" / "out.txt")
+    result = runner.invoke(main, [a.replace("{missing}", missing) for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+    assert "nan" not in result.output
+    lines = result.stderr.splitlines()
+    assert lines[-1] == "Error: " + message.replace("{missing}", missing)
+    assert lines[1] == f"Try 'main {args[0]} --help' for help."
+
+
 class TestConfigFile:
     def write_config(self, tmp_path, data):
         path = tmp_path / "config.json"
@@ -384,3 +426,17 @@ class TestConfigFile:
         path.write_text("{not json")
         result = runner.invoke(main, ["--config", str(path), "hamiltonian", "--n", "2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["scan", "phase", "--n", "6", "--t-steps", "3", "--param-steps", "2",
+         "--objective", "average"],
+        ["optimize", "--n", "20", "--t0", "18.4", "--param0", "4.7", "--objective", "average"],
+        ["table1", "--row", "20"],
+    ])
+    def test_config_sets_superposition_grid(self, runner, tmp_path, args):
+        cfg = self.write_config(tmp_path, {args[0]: {"alpha_points": 3, "chi_points": 4}})
+        from_config = runner.invoke(main, ["--config", cfg, *args])
+        from_flags = runner.invoke(main, [*args, "--alpha-points", "3", "--chi-points", "4"])
+        default = runner.invoke(main, args)
+        assert from_config.exit_code == from_flags.exit_code == default.exit_code == 0
+        assert from_config.output == from_flags.output != default.output

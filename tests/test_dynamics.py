@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from qwrouter import (
     FullGraphLayout,
+    Propagator,
     PureState,
     RouterParams,
     build_full_hamiltonian,
     build_reduced_hamiltonian,
     evolve,
-    evolve_piecewise,
     propagator,
     reduced_hamiltonians,
     reduction_isometry,
@@ -114,65 +114,6 @@ def test_reduced_matches_projected_full_graph():
     np.testing.assert_allclose(projected, reduced.amplitudes, atol=1e-9)
 
 
-class TestPiecewise:
-    def test_constant_sequence_matches_single_evolution(self):
-        h = build_reduced_hamiltonian(RouterParams(6, 1.0, 2.0))
-        psi = basis_state(6, 0)
-        steps = 50
-        dt = 0.07
-        stepped = evolve_piecewise([h] * steps, dt, psi)
-        direct = evolve(h, steps * dt, psi)
-        np.testing.assert_allclose(stepped.amplitudes, direct.amplitudes, atol=1e-9)
-
-    def test_single_element(self):
-        h = build_reduced_hamiltonian(RouterParams(4, 0.5, 0.9))
-        psi = basis_state(6, 1)
-        np.testing.assert_allclose(
-            evolve_piecewise([h], 1.9, psi).amplitudes,
-            evolve(h, 1.9, psi).amplitudes,
-            atol=1e-12,
-        )
-
-    def test_alternating_phases_match_dense_reference(self):
-        # Oracle: independent matrix-exponential route (scipy expm) at dt/10,
-        # holding each phase for ten finer steps.
-        dt = 0.05
-        phases = [np.pi + 0.1 * (-1) ** m for m in range(40)]
-        hs = [build_reduced_hamiltonian(RouterParams(20, 1.0, p)) for p in phases]
-        psi = basis_state(6, 0)
-        ours = evolve_piecewise(hs, dt, psi).amplitudes
-
-        amps = psi.amplitudes
-        for h in hs:
-            step = scipy.linalg.expm(-1j * h.entries * (dt / 10.0))
-            for _ in range(10):
-                amps = step @ amps
-        target = np.zeros(6, dtype=complex)
-        target[3] = 1.0
-        ours_f = abs(np.vdot(target, ours)) ** 2
-        ref_f = abs(np.vdot(target, amps)) ** 2
-        assert ours_f == pytest.approx(ref_f, abs=1e-4)
-        np.testing.assert_allclose(ours, amps, atol=1e-4)
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            evolve_piecewise([], 0.1, basis_state(6, 0))
-
-    def test_dimension_mismatch_rejected(self):
-        h6 = build_reduced_hamiltonian(RouterParams(3, 1.0, 0.0))
-        h8 = build_full_hamiltonian(RouterParams(3, 1.0, 0.0))
-        with pytest.raises(ValueError):
-            evolve_piecewise([h6, h8], 0.1, basis_state(6, 0))
-
-    def test_norm_preserved_over_many_steps(self):
-        hs = [
-            build_reduced_hamiltonian(RouterParams(10, 1.0, 0.001 * m))
-            for m in range(500)
-        ]
-        out = evolve_piecewise(hs, 0.02, basis_state(6, 0))
-        assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-9
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=100),
@@ -201,3 +142,25 @@ def test_probability_conservation(n, phi, t):
 def test_pure_state_rejects_unnormalized():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 0.5]))
+    with pytest.raises(ValueError):
+        PureState(np.array([np.nan, 1.0]))
+
+
+def test_propagator_rejects_nan_matrix():
+    with pytest.raises(ValueError, match="not unitary"):
+        Propagator(np.full((2, 2), np.nan), 1.0)
+
+
+@pytest.mark.parametrize("t", [1e308, -1e308])
+def test_kernels_reject_overflowing_phases(t):
+    # |t| max|w| overflows at n = 5, where exp(-i w t) would be NaN in every entry.
+    h = build_reduced_hamiltonian(RouterParams(5, 1.0, 0.0))
+    batch = h.entries[None]
+    psi = basis_state(6, 0)
+    for call in (lambda: propagator(h, t), lambda: evolve(h, t, psi),
+                 lambda: _unitaries(batch, t),
+                 lambda: _evolved(np.linalg.eigh(batch), t, psi.amplitudes)):
+        with pytest.raises(ValueError, match="overflow"):
+            call()
+    # A tenth of that time keeps every phase finite, and the propagator unitary.
+    assert propagator(h, t / 10).dim == 6

@@ -34,6 +34,14 @@ class TestRouterParams:
         with pytest.raises(ValueError):
             RouterParams(1)
 
+    def test_rejects_n_beyond_the_largest_float(self):
+        # n - 2 and sqrt(n - 1) are floats in the reduced Hamiltonian.
+        huge = 10**400
+        for make in (RouterParams, FullGraphLayout):
+            with pytest.raises(ValueError, match="n_outputs must be at most"):
+                make(huge)
+        assert RouterParams(10**308).n_outputs == 10**308
+
     def test_rejects_non_integer_n(self):
         with pytest.raises(TypeError):
             RouterParams(2.5)  # type: ignore[arg-type]
@@ -207,23 +215,25 @@ def test_reduced_hamiltonians_match_single_builder_bitwise(n, beta, phis):
 def test_package_exports():
     """The package re-exports every module's public names, and loses none.
 
-    ``FidelityCurve`` was dropped on purpose: nothing in the package produced one.
+    Dropped on purpose, because no command, acceptance check or README example
+    used them: ``FidelityCurve``, ``evolve_piecewise``, ``mixed_state_fidelity``,
+    ``noise_equivalence`` and ``noise_equivalence_inverse``.
     """
     parent_names = {
         "FullGraphLayout", "HermitianMatrix", "RouterParams", "build_full_hamiltonian",
         "build_reduced_hamiltonian", "reduction_isometry", "Propagator", "PureState",
-        "propagator", "evolve", "evolve_piecewise", "DensityMatrix",
+        "propagator", "evolve", "DensityMatrix",
         "SuperpositionGrid", "SuperpositionParams", "average_fidelity", "fidelity_grid",
-        "input_state", "min_fidelity", "mixed_state_fidelity",
+        "input_state", "min_fidelity",
         "per_wrong_output_probability", "routing_fidelity", "target_state",
         "transition_probability", "EnsembleState", "NoiseAveragedState", "OUSpec",
-        "StaticNoiseFidelity", "VonMisesSpec", "bessel_i0", "noise_equivalence",
-        "noise_equivalence_inverse", "ou_ensemble_state", "ou_fidelity_curve",
+        "StaticNoiseFidelity", "VonMisesSpec", "bessel_i0",
+        "ou_ensemble_state", "ou_fidelity_curve",
         "ou_sample_path", "ou_stationary_draws", "static_noise_fidelity",
         "static_noise_state", "von_mises_pdf", "PeakReport", "RefineResult", "ScanGrid",
         "ScanSurface", "find_peaks", "refine", "scan", "__version__",
     }
-    assert len(parent_names) == 46
+    assert len(parent_names) == 42
     assert len(qwrouter.__all__) == len(set(qwrouter.__all__))
     assert set(qwrouter.__all__) == parent_names | {"reduced_hamiltonians", "verify_reduction"}
     for name in qwrouter.__all__:

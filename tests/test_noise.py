@@ -16,8 +16,6 @@ from qwrouter import (
     bessel_i0,
     build_reduced_hamiltonian,
     input_state,
-    noise_equivalence,
-    noise_equivalence_inverse,
     ou_ensemble_state,
     ou_fidelity_curve,
     ou_sample_path,
@@ -188,11 +186,13 @@ class TestStaticNoiseFidelity:
         assert converged and used >= 400
         assert a == pytest.approx(b, abs=1e-8)
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e308])
     def test_rejects_non_finite_time(self, t):
-        with pytest.raises(ValueError, match="t must be finite"):
+        # A finite t whose phases w t overflow would give NaN states.
+        message = "overflow" if math.isfinite(t) else "t must be finite"
+        with pytest.raises(ValueError, match=message):
             static_noise_fidelity(PEAK, t, SP, VonMisesSpec(12.5))
-        with pytest.raises(ValueError, match="t must be finite"):
+        with pytest.raises(ValueError, match=message):
             static_noise_state(PEAK, t, input_state(SP), VonMisesSpec(12.5))
 
     def test_reports_points_used(self):
@@ -616,26 +616,3 @@ class TestTrajectoryBlocks:
         small, large = peak(1024), peak(4096)
         table_growth = 8 * (4096 - 1024) * 6
         assert large - small <= table_growth + 16_384
-
-
-class TestEquivalence:
-    def test_reference_pairs(self):
-        sigma_sq, (theta, vol) = noise_equivalence(25.0 / 2.0)
-        assert sigma_sq == pytest.approx(0.08)
-        assert (theta, vol) == (1.0, pytest.approx(0.4))
-        sigma_sq, (theta, vol) = noise_equivalence(2.0)
-        assert sigma_sq == pytest.approx(0.5)
-        assert vol == pytest.approx(1.0)
-
-    def test_roundtrip(self):
-        for k in (0.5, 2.0, 25.0 / 8.0, 25.0 / 2.0):
-            _, (theta, vol) = noise_equivalence(k, theta=1.7)
-            sigma_sq, k_back = noise_equivalence_inverse(theta, vol)
-            assert k_back == pytest.approx(k, rel=1e-12)
-            assert sigma_sq == pytest.approx(1.0 / k, rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            noise_equivalence(0.0)
-        with pytest.raises(ValueError):
-            noise_equivalence_inverse(1.0, 0.0)

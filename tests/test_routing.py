@@ -19,7 +19,6 @@ from qwrouter import (
     fidelity_grid,
     input_state,
     min_fidelity,
-    mixed_state_fidelity,
     per_wrong_output_probability,
     propagator,
     routing_fidelity,
@@ -27,7 +26,7 @@ from qwrouter import (
     transition_probability,
 )
 from qwrouter.cli import TABLE1_ROWS
-from qwrouter.routing import _TRANSFER, _chart, _uhlmann_fidelity_general, u_element_curve
+from qwrouter.routing import _TRANSFER, _chart, u_element_curve
 
 TWO_PI = 2.0 * np.pi
 RNG = np.random.default_rng(20240814)
@@ -38,12 +37,6 @@ def random_density(dim=6, rank=None):
     a = RNG.standard_normal((dim, rank)) + 1j * RNG.standard_normal((dim, rank))
     rho = a @ a.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
-
-
-def random_pure_density(dim=6):
-    v = RNG.standard_normal(dim) + 1j * RNG.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, v.conj())), v
 
 
 class TestStates:
@@ -147,8 +140,10 @@ class TestTransitionProbability:
         np.testing.assert_array_equal(curve[1], transition_probability(p, ts[1], 1, 6))
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e308, -1e308])
 def test_statistics_reject_non_finite_time(t):
+    # At n = 20 a finite |t| of 1e308 overflows the phases w t, which would give NaN.
+    message = "overflow" if math.isfinite(t) else "t must be finite"
     p = RouterParams(20, 1.0, 4.712)
     sp = SuperpositionParams(0.7, 3.0 * math.pi / 2.0)
     grid = SuperpositionGrid(5, 8)
@@ -160,7 +155,7 @@ def test_statistics_reject_non_finite_time(t):
         lambda: average_fidelity(p, t, grid),
         lambda: min_fidelity(p, t, grid),
     ):
-        with pytest.raises(ValueError, match="t must be finite"):
+        with pytest.raises(ValueError, match=message):
             call()
 
 
@@ -484,48 +479,6 @@ class TestDensityMatrix:
     def test_from_pure(self):
         rho = DensityMatrix.from_pure(PureState(np.array([0.6, 0.8j])))
         assert np.trace(rho.entries) == pytest.approx(1.0, abs=1e-14)
-
-
-class TestMixedStateFidelity:
-    def test_self_fidelity_is_one(self):
-        rho = random_density()
-        assert mixed_state_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
-        pure, _ = random_pure_density()
-        assert mixed_state_fidelity(pure, pure) == pytest.approx(1.0, abs=1e-10)
-
-    def test_pure_against_maximally_mixed(self):
-        pure, _ = random_pure_density()
-        mixed = DensityMatrix(np.eye(6, dtype=complex) / 6.0)
-        assert mixed_state_fidelity(pure, mixed) == pytest.approx(1 / 6, abs=1e-12)
-
-    def test_general_formula_matches_expectation_on_pure_input(self):
-        # Oracle: for pure rho the Uhlmann expression must collapse to
-        # <w|sigma|w>.  The general route takes square roots of near-zero
-        # eigenvalues, which turns 1e-16 rounding noise into ~1e-7 error --
-        # exactly why the purity fast path exists and stays at 1e-10.
-        for _ in range(10):
-            pure, vec = random_pure_density()
-            sigma = random_density()
-            general = _uhlmann_fidelity_general(pure.entries, sigma.entries)
-            direct = float(np.real(vec.conj() @ sigma.entries @ vec))
-            assert general == pytest.approx(direct, abs=1e-6)
-            assert mixed_state_fidelity(pure, sigma) == pytest.approx(direct, abs=1e-10)
-
-    def test_symmetric(self):
-        # rank-deficient inputs bound the achievable symmetry to ~sqrt(eps)
-        for _ in range(5):
-            a = random_density(rank=3)
-            b = random_density(rank=4)
-            assert mixed_state_fidelity(a, b) == pytest.approx(
-                mixed_state_fidelity(b, a), abs=1e-6
-            )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mixed_state_fidelity(
-                DensityMatrix(np.eye(2, dtype=complex) / 2),
-                DensityMatrix(np.eye(3, dtype=complex) / 3),
-            )
 
 
 @settings(max_examples=60, deadline=None)
