@@ -55,13 +55,16 @@ _GRID_HELP = ("{} points of the superposition grid: the average is taken over it
 
 
 class _Command(click.Command):
-    """Every subcommand: a library ``ValueError`` exits 2 as a usage error, with its message."""
+    """Every subcommand: a library ``ValueError`` exits 2 as a usage error, with its
+    message, and so does a ``MemoryError`` from a request too large to allocate."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except ValueError as exc:
             raise click.UsageError(str(exc), ctx) from exc
+        except MemoryError as exc:
+            raise click.UsageError(f"the request does not fit in memory: {exc}", ctx) from exc
 
 
 def _superposition_grid(command):

@@ -5,16 +5,15 @@ drawn once per realization from the circular (von Mises) density
 
     p_k(eps) = exp(k cos eps) / (2 pi I0(k)),
 
-and observables become quadrature averages over ``eps``.  The density is
-evaluated in the exponentially scaled form ``exp(k (cos eps - 1)) / (2 pi
-i0e(k))``, which stays finite for arbitrarily large concentration ``k``
-(the naive form overflows float64 beyond k ~ 713); ``I0`` and ``i0e`` are
-Cephes' Chebyshev series, so no scipy is needed.  For large ``k`` the
+and observables become quadrature averages over ``eps``.  The quadrature
+weights carry only the kernel ``exp(k (cos eps - 1))``, which stays in
+``(0, 1]`` for arbitrarily large concentration ``k``, and are renormalized
+to unit mass, so the normalizer ``2 pi I0(k)`` cancels and is never
+evaluated.  The unit mass also makes averaged states exactly trace-one and
+turns ``k = 0`` into the exact uniform phase average.  For large ``k`` the
 quadrature domain shrinks to ``[-L, L]`` with ``L = min(pi, 10 / sqrt(k))``
 — about ten standard deviations of the narrow-density limit — so nodes are
-never wasted on regions of negligible mass; weights are renormalized to unit
-mass, which makes averaged states exactly trace-one and turns ``k = 0`` into
-the exact uniform phase average.  Each rule and its ``eigh`` of
+never wasted on regions of negligible mass.  Each rule and its ``eigh`` of
 ``H(phi + eps_p)`` are cached, so a whole time curve builds and decomposes
 each rule it uses once.
 
@@ -46,7 +45,9 @@ phase nodes exceed 4096 and the run is rejected with a ``ValueError``.
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
@@ -56,7 +57,7 @@ import numpy as np
 # off the cost of ``import qwrouter``.
 
 from .dynamics import PureState, _evolved, _unitaries
-from .hamiltonian import RouterParams, reduced_hamiltonians
+from .hamiltonian import TWO_PI, RouterParams, reduced_hamiltonians
 from .routing import (
     DensityMatrix,
     SuperpositionParams,
@@ -70,8 +71,6 @@ __all__ = [
     "StaticNoiseFidelity",
     "NoiseAveragedState",
     "EnsembleState",
-    "bessel_i0",
-    "von_mises_pdf",
     "static_noise_fidelity",
     "static_noise_state",
     "ou_sample_path",
@@ -80,7 +79,6 @@ __all__ = [
     "ou_fidelity_curve",
 ]
 
-_TWO_PI = 2.0 * math.pi
 _WARN_THRESHOLD = 1e-6
 # The static-noise quadrature starts at 129 Gauss–Legendre nodes and doubles them up
 # to 6 times, stopping once a doubling moves the result by at most 1e-8.
@@ -90,49 +88,20 @@ _QUADRATURE_TOL = 1e-8
 _ROUNDOFF = 2.0**-53  # float64 unit roundoff: the Fourier step's tail target
 _MAX_PHASE_NODES = 4096  # Fourier-step phase nodes: |beta| dt up to about 560
 _TRAJECTORY_BLOCK = 512  # trajectories evolved together (bounds paths and states)
-# Chebyshev coefficients of Cephes' i0/i0e (S. L. Moshier, Cephes Math Library, i0.c),
-# the ones scipy.special.i0/i0e and numpy.i0 evaluate: _I0_A expands exp(-x) I0(x)
-# on [0, 8] in x/2 - 2, _I0_B expands exp(-x) sqrt(x) I0(x) on (8, inf) in 32/x - 2.
-_I0_A = (
-    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
-    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
-    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
-    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
-    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
-    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
-    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
-    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
-    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
-    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
-)
-_I0_B = (
-    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
-    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
-    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
-    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
-    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
-    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
-    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
-    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
-    0.8044904110141088,
-)
 
 
 @dataclass(frozen=True)
 class VonMisesSpec:
-    """Static-noise parameters.
-
-    Parameters
-    ----------
-    k : float
-        Concentration (>= 0).  ``k = 0`` is the uniform circular density;
-        large ``k`` approaches a Gaussian of variance ``1 / k``.
-    """
+    """Static-noise parameters: the concentration ``k >= 0``.  ``k = 0`` is the
+    uniform circular density; large ``k`` approaches a Gaussian of variance ``1 / k``."""
 
     k: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _check_k(self.k))
+        k = float(self.k)
+        if not (math.isfinite(k) and k >= 0.0):
+            raise ValueError("k must be finite and >= 0")
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)
@@ -239,13 +208,6 @@ def _mixture(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def _check_k(k: float) -> float:
-    k = float(k)
-    if not (math.isfinite(k) and k >= 0.0):
-        raise ValueError("k must be finite and >= 0")
-    return k
-
-
 def _positive(name: str, x: float) -> float:
     x = float(x)
     if not (math.isfinite(x) and x > 0.0):
@@ -253,91 +215,21 @@ def _positive(name: str, x: float) -> float:
     return x
 
 
-def _chbevl(x: float, coeffs: tuple[float, ...]) -> float:
-    """Cephes ``chbevl``: the Chebyshev series ``coeffs`` (highest order first) at ``x``."""
-    b0 = b1 = b2 = 0.0
-    for c in coeffs:
-        b2, b1 = b1, b0
-        b0 = x * b1 - b2 + c
-    return 0.5 * (b0 - b2)
-
-
-def _i0_parts(k: float) -> tuple[float, float]:
-    """``(chb, root)`` with ``i0e(k) = chb / root`` and ``I0(k) = exp(k) * chb / root``."""
-    if k <= 8.0:
-        return _chbevl(k / 2.0 - 2.0, _I0_A), 1.0
-    return _chbevl(32.0 / k - 2.0, _I0_B), math.sqrt(k)
-
-
-def bessel_i0(k: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
-
-    Cephes' ``i0`` in its evaluation order, so it equals ``scipy.special.i0``
-    bit for bit; ``inf`` once ``exp(k)`` overflows (k > 709.78), as scipy's
-    is — the scaled form is used internally wherever large concentrations appear.
-    """
-    k = _check_k(k)
-    chb, root = _i0_parts(k)
-    try:
-        return math.exp(k) * chb / root
-    except OverflowError:
-        return math.inf
-
-
-def von_mises_pdf(eps, k: float):
-    """Circular density ``exp(k cos eps) / (2 pi I0(k))``, overflow-safe.
-
-    Accepts scalars or arrays of ``eps`` (radians); any real value is valid
-    since the density is 2*pi-periodic.
-    """
-    k = _check_k(k)
-    chb, root = _i0_parts(k)
-    eps_arr = np.asarray(eps, dtype=float)
-    vals = np.exp(k * (np.cos(eps_arr) - 1.0)) / (_TWO_PI * (chb / root))
-    if np.isscalar(eps) or eps_arr.ndim == 0:
-        return float(vals)
-    return vals
-
-
 @lru_cache(maxsize=32)
 def _nodes_and_weights(k: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``points``-node Gauss–Legendre rule over the concentration-adapted
-    domain, with unit-mass weights; built once per ``(k, points)``."""
+    domain, weighted by the kernel ``exp(k (cos eps - 1))`` and scaled to unit mass;
+    built once per ``(k, points)``."""
     from numpy.polynomial.legendre import leggauss
 
     half_width = math.pi if k <= 0.0 else min(math.pi, 10.0 / math.sqrt(k))
     x, w = leggauss(points)
     eps = half_width * x
-    weights = w * von_mises_pdf(eps, k)
+    weights = w * np.exp(k * (np.cos(eps) - 1.0))
     weights = weights / weights.sum()
     eps.setflags(write=False)
     weights.setflags(write=False)
     return eps, weights
-
-
-def _adaptive_average(
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray | float],
-    k: float,
-    points: int = _QUADRATURE_POINTS,
-    tol: float = _QUADRATURE_TOL,
-    max_doublings: int = _MAX_DOUBLINGS,
-):
-    """Double quadrature nodes until ``fn``'s output stabilizes.
-
-    Returns ``(value, converged, points_used)``; ``converged`` is still True
-    after an exhausted budget if the last doubling moved the result by no
-    more than the 1e-6 warning threshold.
-    """
-    prev = fn(*_nodes_and_weights(k, points))
-    delta = math.inf
-    for _ in range(max_doublings):
-        points *= 2
-        cur = fn(*_nodes_and_weights(k, points))
-        delta = float(np.max(np.abs(np.asarray(cur) - np.asarray(prev))))
-        prev = cur
-        if delta <= tol:
-            return prev, True, points
-    return prev, delta <= _WARN_THRESHOLD, points
 
 
 @lru_cache(maxsize=8)  # one curve uses at most 1 + _MAX_DOUBLINGS = 7 rules
@@ -353,13 +245,26 @@ def _node_spectrum(params: RouterParams, k: float, points: int) -> tuple[np.ndar
 
 def _static_average(params: RouterParams, t: float, amps0: np.ndarray, k: float,
                     reduce: Callable[[np.ndarray, np.ndarray], np.ndarray | float]):
-    """``_adaptive_average`` of ``reduce(states, weights)``, where row ``p`` of
-    ``states`` is ``exp(-i H(phi + eps_p) t) amps0`` at quadrature node ``eps_p``,
-    evolved from the rule's cached spectrum."""
-    def quadrature(eps: np.ndarray, wts: np.ndarray):
-        return reduce(_evolved(_node_spectrum(params, k, eps.size), t, amps0), wts)
+    """``reduce(states, weights)`` on rules of ``_QUADRATURE_POINTS`` nodes doubled up to
+    ``_MAX_DOUBLINGS`` times, until a doubling moves it by at most ``_QUADRATURE_TOL``;
+    row ``p`` of ``states`` is ``exp(-i H(phi + eps_p) t) amps0`` at node ``eps_p``, from
+    the rule's cached spectrum.  Returns ``(value, converged, points_used)``; ``converged``
+    is still True after an exhausted budget if the last doubling moved the result by no
+    more than the 1e-6 warning threshold."""
+    def quadrature(points: int):
+        states = _evolved(_node_spectrum(params, k, points), t, amps0)
+        return reduce(states, _nodes_and_weights(k, points)[1])
 
-    return _adaptive_average(quadrature, k)
+    points = _QUADRATURE_POINTS
+    prev, delta = quadrature(points), math.inf
+    for _ in range(_MAX_DOUBLINGS):
+        points *= 2
+        cur = quadrature(points)
+        delta = float(np.max(np.abs(np.asarray(cur) - np.asarray(prev))))
+        prev = cur
+        if delta <= _QUADRATURE_TOL:
+            return prev, True, points
+    return prev, delta <= _WARN_THRESHOLD, points
 
 
 def static_noise_fidelity(
@@ -463,7 +368,7 @@ def _step_fourier(n: int, beta: float, dt: float) -> np.ndarray:
             f"|beta| * dt = {x:g} needs over {_MAX_PHASE_NODES} phase nodes "
             "for the Fourier step; use a smaller dt"
         )
-    phis = _TWO_PI * np.arange(nodes) / nodes
+    phis = TWO_PI * np.arange(nodes) / nodes
     u = _unitaries(reduced_hamiltonians(n, beta, phis), dt)
     c = np.fft.fft(u.reshape(nodes, 36), axis=0) / nodes
     return c[np.arange(-cutoff, cutoff + 1) % nodes]
@@ -551,6 +456,20 @@ def ou_ensemble_state(
     return EnsembleState(_mixture(states, np.full(len(states), 1.0 / len(states))), states)
 
 
+def _snapshot_steps(t_max: float, dt: float, snapshots: int, total_steps: int) -> list[int]:
+    """Distinct steps ``round(t / dt)``, clipped to ``[0, total_steps]``, of the uniform
+    ``snapshots``-point grid on ``[0, t_max]``; they never decrease along the grid, so
+    one bisection skips each run, at most ``total_steps + 1`` of them."""
+    def step(j: int) -> int:
+        return min(max(int(round(j * t_max / (snapshots - 1) / dt)), 0), total_steps)
+
+    wanted, j = [], 0
+    while j < snapshots:
+        wanted.append(step(j))
+        j = bisect.bisect_right(range(snapshots), wanted[-1], lo=j + 1, key=step)
+    return wanted
+
+
 def ou_fidelity_curve(
     params: RouterParams,
     psi0: PureState,
@@ -568,16 +487,13 @@ def ou_fidelity_curve(
     """
     if not (math.isfinite(float(t_max)) and t_max > 0.0):
         raise ValueError("t_max must be positive")
-    if int(snapshots) < 2:
-        raise ValueError("snapshots must be >= 2")
     snapshots = int(snapshots)
+    if not 2 <= snapshots <= sys.float_info.max:
+        raise ValueError(f"snapshots must be >= 2 and at most {sys.float_info.max!r}")
     total_steps = int(round(t_max / spec.dt))
     if total_steps < 1:
         raise ValueError("t_max must span at least one step of dt")
-    grid = [
-        int(round(j * t_max / (snapshots - 1) / spec.dt)) for j in range(snapshots)
-    ]
-    wanted = sorted(set(min(max(s, 0), total_steps) for s in grid))
+    wanted = _snapshot_steps(t_max, spec.dt, snapshots, total_steps)
     w_conj = target.amplitudes.conj()
     table = _evolve_ensemble(params, psi0.amplitudes, spec, wanted,
                              lambda states: _fidelities(states, w_conj))

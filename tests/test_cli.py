@@ -260,6 +260,18 @@ class TestNoiseCommand:
         assert "--trajectories" in result.output and "--t-steps" in result.output
         assert "does not fit in memory" in result.output
 
+    def test_ou_huge_t_steps_prints_only_distinct_times(self, runner):
+        # 1e14 requested times over 10 steps of dt: the grid is never built in full.
+        args = ["noise", "ou", "--n", "5", "--t-steps", "100000000000000",
+                "--trajectories", "2", "--t-max", "0.1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert len(result.stdout.strip().split("\n")) == 1 + 11
+        warnings = result.stderr.strip().split("\n")
+        assert len(warnings) == 1
+        assert "100000000000000 snapshot times requested" in warnings[0]
+        assert "only 11 are distinct" in warnings[0]
+
     def test_ou_warns_when_snapshot_times_collide(self, runner):
         args = ["noise", "ou", "--n", "20", "--trajectories", "4",
                 "--t-max", "0.05", "--t-steps", "11"]
@@ -367,7 +379,20 @@ INVALID_INPUTS = [
     (["optimize", "--n", "20", "--t0", "99", "--param0", "1"], "start must lie within bounds"),
     (["optimize", "--n", "20", "--t0", "1", "--param0", "1", "--alpha-points", "0"],
      "grid must be non-empty"),
+    (["noise", "ou", "--n", "5", "--t-steps", str(10**400), "--trajectories", "2",
+      "--t-max", "0.1"], "snapshots must be >= 2 and at most 1.7976931348623157e+308"),
 ]
+
+
+def test_request_beyond_memory_exits_2(runner):
+    # 1e14 float64 times (800 TB) exceed the 47-bit address space, so allocating
+    # them fails before any memory is touched.
+    result = runner.invoke(main, ["scan", "phase", "--n", "5", "--t-steps", "100000000000000"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+    error = result.stderr.splitlines()[-1]
+    assert error.startswith("Error: the request does not fit in memory: Unable to allocate")
 
 
 @pytest.mark.parametrize("args, message", INVALID_INPUTS)

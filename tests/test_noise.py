@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, linalg, special
 
 from qwrouter import (
@@ -13,7 +14,6 @@ from qwrouter import (
     RouterParams,
     SuperpositionParams,
     VonMisesSpec,
-    bessel_i0,
     build_reduced_hamiltonian,
     input_state,
     ou_ensemble_state,
@@ -25,18 +25,16 @@ from qwrouter import (
     static_noise_fidelity,
     static_noise_state,
     target_state,
-    von_mises_pdf,
 )
 from qwrouter import noise
 from qwrouter.noise import (
     _TRAJECTORY_BLOCK,
-    _adaptive_average,
     _blocks,
     _evolve_ensemble,
-    _i0_parts,
     _node_spectrum,
     _nodes_and_weights,
     _phase_paths,
+    _snapshot_steps,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -44,87 +42,6 @@ TWO_PI = 2.0 * math.pi
 PEAK = RouterParams(20, 1.0, 4.712)
 PEAK_T = 18.550
 SP = SuperpositionParams(0.7, 3.0 * math.pi / 2.0)
-
-
-def i0_series(x: float) -> float:
-    """Power-series oracle sum_m (x^2/4)^m / (m!)^2, independent of scipy."""
-    term, total = 1.0, 1.0
-    q = x * x / 4.0
-    for m in range(1, 80):
-        term *= q / (m * m)
-        total += term
-    return total
-
-
-class TestBessel:
-    def test_at_zero(self):
-        assert bessel_i0(0.0) == 1.0
-
-    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 12.5, 25.0 / 8.0])
-    def test_against_series(self, x):
-        assert bessel_i0(x) == pytest.approx(i0_series(x), rel=1e-12)
-
-    def test_known_value(self):
-        assert bessel_i0(1.0) == pytest.approx(1.2660658777520084, rel=1e-13)
-
-    def test_seeded_sweep_matches_scipy_bit_for_bit(self):
-        # 10^4 concentrations, log-uniform on [1e-3, 1e12] and uniform on [0, 20].
-        rng = np.random.default_rng(20261018)
-        ks = np.concatenate([np.exp(rng.uniform(math.log(1e-3), math.log(1e12), 5000)),
-                             rng.uniform(0.0, 20.0, 5000)])
-        i0e = [chb / root for chb, root in map(_i0_parts, ks.tolist())]
-        np.testing.assert_array_equal(i0e, special.i0e(ks))
-        np.testing.assert_array_equal([bessel_i0(k) for k in ks.tolist()], special.i0(ks))
-        np.testing.assert_array_equal([von_mises_pdf(0.0, k) for k in ks.tolist()],
-                                      np.exp(0.0) / (TWO_PI * special.i0e(ks)))
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            bessel_i0(-1.0)
-        with pytest.raises(ValueError):
-            bessel_i0(float("nan"))
-
-
-class TestVonMisesPdf:
-    @pytest.mark.parametrize("k", [0.0, 0.5, 2.0, 25.0 / 8.0, 25.0 / 2.0])
-    def test_normalized(self, k):
-        # Independent adaptive quadrature, not the module's Gauss-Legendre path.
-        total, _ = integrate.quad(
-            lambda e: von_mises_pdf(e, k), -math.pi, math.pi,
-            epsabs=1e-12, epsrel=1e-12,
-        )
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_uniform_limit(self):
-        eps = np.linspace(-math.pi, math.pi, 13)
-        np.testing.assert_allclose(von_mises_pdf(eps, 0.0), 1.0 / TWO_PI, atol=1e-15)
-
-    def test_peak_value(self):
-        # exp(k cos 0) / (2 pi I0(k)) with k = 2
-        assert von_mises_pdf(0.0, 2.0) == pytest.approx(
-            math.exp(2.0) / (TWO_PI * i0_series(2.0)), rel=1e-12
-        )
-
-    def test_even_in_eps(self):
-        eps = np.linspace(0.1, 3.0, 7)
-        np.testing.assert_allclose(
-            von_mises_pdf(eps, 3.3), von_mises_pdf(-eps, 3.3), rtol=1e-14
-        )
-
-    def test_huge_concentration_stays_finite(self):
-        v = von_mises_pdf(0.0, 1e6)
-        assert math.isfinite(v) and v > 0.0
-        assert von_mises_pdf(math.pi, 1e6) == 0.0  # underflows cleanly, not inf/nan
-
-    def test_scalar_vs_array(self):
-        assert isinstance(von_mises_pdf(0.3, 1.0), float)
-        out = von_mises_pdf(np.array([0.3, 0.4]), 1.0)
-        assert out.shape == (2,)
-        assert out[0] == von_mises_pdf(0.3, 1.0)
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            von_mises_pdf(0.0, -0.5)
 
 
 class TestSpecValidation:
@@ -178,12 +95,11 @@ class TestStaticNoiseFidelity:
         f_broad = static_noise_fidelity(PEAK, PEAK_T, SP, VonMisesSpec(2.0))
         assert noiseless > f_sharp > f_mid > f_broad
 
-    def test_stable_under_node_count(self):
+    def test_stable_under_node_count(self, monkeypatch):
         a = static_noise_fidelity(PEAK, PEAK_T, SP, VonMisesSpec(2.0))
-        b, converged, used = _adaptive_average(
-            fidelity_functional(PEAK, PEAK_T, SP), 2.0, points=200
-        )
-        assert converged and used >= 400
+        monkeypatch.setattr(noise, "_QUADRATURE_POINTS", 200)
+        b = static_noise_fidelity(PEAK, PEAK_T, SP, VonMisesSpec(2.0))
+        assert b.converged and b.points_used >= 400
         assert a == pytest.approx(b, abs=1e-8)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e308])
@@ -232,6 +148,8 @@ def state_functional(params, t, psi0):
 
 @pytest.mark.parametrize("k", [0.0, 2.0, 12.5, 1000.0, 1e6])
 def test_static_noise_matches_reference_states(k):
+    # At the rule it reports, the result equals the reference states' quadrature;
+    # every rule before it still moved by more than the tolerance, and it did not.
     rng = np.random.default_rng(int(k) + 17)
     for _ in range(3):
         params = RouterParams(int(rng.integers(2, 200)), float(rng.uniform(-2.0, 2.0)),
@@ -240,41 +158,67 @@ def test_static_noise_matches_reference_states(k):
         sp = SuperpositionParams(float(rng.uniform()), float(rng.uniform(0.0, TWO_PI)))
         vm = VonMisesSpec(k)
         f = static_noise_fidelity(params, t, sp, vm)
-        ref, converged, used = _adaptive_average(fidelity_functional(params, t, sp), k)
-        assert abs(f - min(max(ref, 0.0), 1.0)) <= 1e-14
-        assert (f.converged, f.points_used) == (converged, used)
         state = static_noise_state(params, t, input_state(sp), vm)
-        rho, converged, used = _adaptive_average(
-            state_functional(params, t, input_state(sp).amplitudes), k
-        )
-        assert float(np.max(np.abs(state.entries - rho))) <= 1e-14
-        assert (state.converged, state.points_used) == (converged, used)
+        assert f.converged and state.converged
+        rules = [noise._QUADRATURE_POINTS * 2**d for d in range(noise._MAX_DOUBLINGS + 1)]
+        for value, used, functional in (
+            (f, f.points_used, fidelity_functional(params, t, sp)),
+            (state.entries, state.points_used,
+             state_functional(params, t, input_state(sp).amplitudes)),
+        ):
+            refs = [functional(*_nodes_and_weights(k, p)) for p in rules if p <= used]
+            assert len(refs) >= 2 and rules[len(refs) - 1] == used
+            steps = [float(np.max(np.abs(np.subtract(b, a)))) for a, b in zip(refs, refs[1:])]
+            assert steps[-1] <= noise._QUADRATURE_TOL
+            assert all(step > noise._QUADRATURE_TOL for step in steps[:-1])
+            assert float(np.max(np.abs(np.subtract(value, refs[-1])))) <= 1e-14
 
 
 class TestAdaptiveAverage:
-    def test_flags_non_convergence(self):
-        # A rapidly oscillating functional that 8 -> 16 nodes cannot pin down.
-        def rough(eps, wts):
-            return float(np.dot(wts, np.cos(40.0 * eps)))
-
-        _, converged, used = _adaptive_average(
-            rough, 0.0, points=8, tol=1e-12, max_doublings=1
-        )
-        assert not converged
-        assert used == 16
+    def test_flags_non_convergence(self, monkeypatch):
+        # The uniform average over the whole circle at the peak time, which an
+        # 8 -> 16 node doubling cannot pin down.
+        monkeypatch.setattr(noise, "_QUADRATURE_POINTS", 8)
+        monkeypatch.setattr(noise, "_MAX_DOUBLINGS", 1)
+        monkeypatch.setattr(noise, "_QUADRATURE_TOL", 1e-12)
+        f = static_noise_fidelity(PEAK, PEAK_T, SP, VonMisesSpec(0.0))
+        assert not f.converged
+        assert f.points_used == 16
+        state = static_noise_state(PEAK, PEAK_T, input_state(SP), VonMisesSpec(0.0))
+        assert (state.converged, state.points_used) == (False, 16)
 
     def test_converges_on_smooth_functional(self):
-        def smooth(eps, wts):
-            return float(np.dot(wts, np.cos(eps)))
-
-        value, converged, _ = _adaptive_average(
-            smooth, 2.0, points=64, tol=1e-10, max_doublings=6
-        )
-        assert converged
         # oracle: E[cos eps] under the circular density is I1(k)/I0(k)
-        from scipy.special import i1
+        ratio = special.i1e(2.0) / special.i0e(2.0)
+        for points in (64, 129, 258):
+            eps, wts = _nodes_and_weights(2.0, points)
+            assert float(np.dot(wts, np.cos(eps))) == pytest.approx(ratio, abs=1e-13)
 
-        assert value == pytest.approx(i1(2.0) / bessel_i0(2.0), abs=1e-9)
+
+def static_noise_oracle(params, t, sp, k):
+    """Full-circle adaptive quadrature of the normalized von Mises density times
+    the routing fidelity, split where the density's bulk ends."""
+    def integrand(e):
+        density = math.exp(k * (math.cos(e) - 1.0)) / (TWO_PI * special.i0e(k))
+        shifted = RouterParams(params.n_outputs, params.beta, params.phi + e)
+        return density * routing_fidelity(shifted, t, sp)
+
+    half = min(math.pi, 12.0 / math.sqrt(k))
+    return sum(
+        integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+        for lo, hi in ((-half, 0.0), (0.0, half), (-math.pi, -half), (half, math.pi))
+        if hi > lo
+    )
+
+
+@pytest.mark.parametrize("t", [5.0, PEAK_T])
+@pytest.mark.parametrize("k", [0.5, 2.0, 12.5, 1000.0])
+def test_static_noise_fidelity_against_adaptive_quad(k, t):
+    # Checks the unit-mass weights against the normalized density, outside noise.py;
+    # the largest error is the [-L, L] truncation at k = 12.5.
+    f = static_noise_fidelity(PEAK, t, SP, VonMisesSpec(k))
+    assert f.converged
+    assert abs(f - static_noise_oracle(PEAK, t, SP, k)) <= 1e-11
 
 
 class TestNodeSpectrumCache:
@@ -322,13 +266,13 @@ class TestLeggaussCache:
 
     def test_density_is_evaluated_once_per_rule(self, monkeypatch):
         sizes = []
-        pdf = noise.von_mises_pdf
+        leggauss = np.polynomial.legendre.leggauss
 
-        def counted(eps, k):
-            sizes.append(eps.size)
-            return pdf(eps, k)
+        def counted(points):
+            sizes.append(points)
+            return leggauss(points)
 
-        monkeypatch.setattr(noise, "von_mises_pdf", counted)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
         _nodes_and_weights.cache_clear()
         _node_spectrum.cache_clear()
         used = [static_noise_fidelity(PEAK, t, SP, VonMisesSpec(3.7)).points_used
@@ -480,6 +424,15 @@ class TestOUEnsemble:
         spec = OUSpec(dt=5.0, trajectories=4)
         with pytest.raises(ValueError, match="step"):
             ou_fidelity_curve(PEAK, input_state(SP), target_state(SP), spec, t_max=1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t_max=st.floats(1e-3, 1e3), dt=st.floats(1e-3, 10.0),
+           snapshots=st.integers(2, 10_000))
+    def test_snapshot_steps_match_the_full_grid(self, t_max, dt, snapshots):
+        total_steps = int(round(t_max / dt))
+        grid = [int(round(j * t_max / (snapshots - 1) / dt)) for j in range(snapshots)]
+        expected = sorted(set(min(max(s, 0), total_steps) for s in grid))
+        assert _snapshot_steps(t_max, dt, snapshots, total_steps) == expected
 
     def test_curve_shapes_and_grid(self):
         spec = OUSpec(trajectories=10, seed=2)
