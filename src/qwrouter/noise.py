@@ -36,8 +36,10 @@ so each step's propagator is a trigonometric series in the phase,
 ``||C_m|| <= (|beta| dt)^|m| / |m|! e^{|beta| dt}`` whatever ``n``; the
 harmonics are cut where that tail drops below float64 roundoff and the
 ``C_m`` come from one ``eigh`` of a few equispaced phases plus an FFT, once
-per run.  A step of the whole ensemble is then a GEMM of the powers
-``e^{i m X_b}`` against the ``C_m`` and a batched 6x6 product, with no
+per run.  Pairing ``m`` with ``-m`` makes the series real in the phase,
+``U(phi, dt) = A_0 + sum_{m >= 1} cos(m phi) A_m + sin(m phi) B_m``, so a step
+of the whole ensemble is one real GEMM of ``[1; cos(m X_b); sin(m X_b)]``
+against the table of ``A_m`` and ``B_m`` and a batched 6x6 product, with no
 per-trajectory ``eigh``.  Its cost grows with ``|beta| dt`` (13 harmonics at
 ``|beta| dt = 0.01``, 37 at 1, 191 at 20); beyond about 560 the required
 phase nodes exceed 4096 and the run is rejected with a ``ValueError``.
@@ -341,14 +343,18 @@ def _phase_paths(
 
 
 def _step_fourier(n: int, beta: float, dt: float) -> np.ndarray:
-    """Coefficients ``C_m`` of ``U(phi, dt) = sum_m e^{i m phi} C_m``, shape ``(2M + 1, 36)``.
+    """Real table ``[A_0; A_1 .. A_M; B_1 .. B_M]`` of the step propagator, shape
+    ``(2M + 1, 72)``, with ``U(phi, dt) = A_0 + sum_m cos(m phi) A_m + sin(m phi) B_m``.
 
-    Row ``j`` is ``C_{j - M}`` flattened.  ``M`` is the smallest cutoff whose
-    two-sided Dyson tail (module docstring) is below the float64 unit
-    roundoff; the bound holds for ``|m| + 1 >= |beta| dt``, which every
-    dropped harmonic satisfies.  The coefficients come from one ``eigh`` of
-    ``N`` equispaced phases (a power of two, at least ``max(8, 2M + 2)``, so
-    aliasing adds only that tail) and an FFT over the phase axis.
+    In terms of the harmonics of ``U(phi, dt) = sum_m e^{i m phi} C_m``,
+    ``A_0 = C_0``, ``A_m = C_m + C_{-m}`` and ``B_m = i (C_m - C_{-m})``; each
+    row is a flattened 6x6 complex matrix stored as (real, imaginary) float
+    pairs.  ``M`` is the smallest cutoff whose two-sided Dyson tail (module
+    docstring) is below the float64 unit roundoff; the bound holds for
+    ``|m| + 1 >= |beta| dt``, which every dropped harmonic satisfies.  The
+    ``C_m`` come from one ``eigh`` of ``N`` equispaced phases (a power of two, at
+    least ``max(8, 2M + 2)``, so aliasing adds only that tail) and an FFT over
+    the phase axis.
     """
     x = abs(beta) * dt
     cutoff = 0
@@ -371,7 +377,8 @@ def _step_fourier(n: int, beta: float, dt: float) -> np.ndarray:
     phis = TWO_PI * np.arange(nodes) / nodes
     u = _unitaries(reduced_hamiltonians(n, beta, phis), dt)
     c = np.fft.fft(u.reshape(nodes, 36), axis=0) / nodes
-    return c[np.arange(-cutoff, cutoff + 1) % nodes]
+    m = np.arange(1, cutoff + 1)
+    return np.concatenate([c[:1], c[m] + c[-m], 1j * (c[m] - c[-m])]).view(float)
 
 
 def _blocks(count: int) -> Iterator[tuple[int, int]]:
@@ -397,11 +404,13 @@ def _evolve_ensemble(
     """Batched piecewise-constant evolution of all trajectories.
 
     The phase reverts to ``spec.mu``, or to the router's phase when that is
-    None.  Each step applies ``U(X_b, dt) = sum_m e^{i m X_b} C_m`` (see
-    ``_step_fourier``): one power recurrence, one GEMM of the phase powers
-    against the flattened ``C_m``, then one batched 6x6 matrix-vector
-    product.  The powers take ``harmonics x rows`` complex scratch, at most
-    4095 x 513 (about 34 MB) at the ``|beta| dt`` limit of about 560.
+    None.  Each step applies ``U(X_b, dt) = A_0 + sum_m cos(m X_b) A_m +
+    sin(m X_b) B_m`` (see ``_step_fourier``): one recurrence for the powers
+    ``e^{i m X_b}``, ``m = 1..M``, whose real and imaginary parts go under a
+    row of ones, one real GEMM of those ``2M + 1`` rows against the table, then
+    one batched 6x6 matrix-vector product.  The scratch is ``harmonics x rows``
+    floats plus ``M x rows`` complex powers, at most 4095 x 513 and 2047 x 513
+    (about 34 MB together) at the ``|beta| dt`` limit of about 560.
     Trajectories evolve in blocks (``_blocks``), and only ``observe`` of a
     block's ``(rows, 6)`` state stack is kept: entry ``[j, b]`` of the result
     is trajectory ``b``'s row of ``observe`` at the ``j``-th of the
@@ -425,17 +434,19 @@ def _evolve_ensemble(
             table[0, lo:hi] = observe(psi)
         if total_steps == 0:
             continue
-        # powers[j, b] = e^{i (j - M) X_b}.
-        powers = np.empty((harmonics, hi - lo), dtype=complex)
+        # trig = [1; cos(m X_b); sin(m X_b)] for m = 1..M from powers[m - 1, b] = e^{i m X_b}.
+        trig = np.ones((harmonics, hi - lo))
+        powers = np.empty((cutoff, hi - lo), dtype=complex)
         paths = _phase_paths(spec, mu, total_steps, range(lo, hi))
         for m in range(total_steps):
-            x = paths[:, m]
-            z = np.exp(1j * x)
-            np.exp(1j * -cutoff * x, out=powers[0])
-            for j in range(1, harmonics):
-                np.multiply(powers[j - 1], z, out=powers[j])
-            step = powers.T @ coeffs
-            psi = np.einsum("bij,bj->bi", step.reshape(-1, 6, 6), psi)
+            if cutoff:
+                np.exp(1j * paths[:, m], out=powers[0])
+                for j in range(1, cutoff):
+                    np.multiply(powers[j - 1], powers[0], out=powers[j])
+                trig[1:cutoff + 1] = powers.real
+                trig[cutoff + 1:] = powers.imag
+            step = (trig.T @ coeffs).view(complex).reshape(-1, 6, 6)
+            psi = np.einsum("bij,bj->bi", step, psi)
             if m + 1 in column:
                 table[column[m + 1], lo:hi] = observe(psi)
     return table

@@ -13,7 +13,7 @@ from qwrouter import (
     routing_fidelity,
     transition_probability,
 )
-from qwrouter import cli, hamiltonian
+from qwrouter import cli, hamiltonian, noise
 from qwrouter.cli import main
 
 
@@ -259,6 +259,28 @@ class TestNoiseCommand:
         assert result.stdout == ""
         assert "--trajectories" in result.output and "--t-steps" in result.output
         assert "does not fit in memory" in result.output
+
+    def test_ou_paths_beyond_memory_name_t_max_and_dt(self, runner, monkeypatch):
+        # 1e9 steps x 2 trajectories of paths (16 GB) beside a 3 x 2 table: the
+        # failure is simulated, so nothing large is ever allocated.
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(noise, "_phase_paths", no_memory)
+        result = runner.invoke(
+            main, ["noise", "ou", "--n", "5", "--t-max", "100000", "--dt", "0.0001",
+                   "--trajectories", "2", "--t-steps", "3"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        error = result.stderr.splitlines()[-1]
+        assert error == (
+            "Error: the fidelity table (up to 3 snapshot times from --t-steps 3 x "
+            "--trajectories 2: 48 bytes) or one block's phase paths (round(--t-max / "
+            "--dt) = 1000000000 steps x up to 2 trajectories: 1.6e+10 bytes) does not "
+            "fit in memory; lower --t-steps or --trajectories for the table, or "
+            "--t-max or raise --dt for the paths"
+        )
 
     def test_ou_huge_t_steps_prints_only_distinct_times(self, runner):
         # 1e14 requested times over 10 steps of dt: the grid is never built in full.
