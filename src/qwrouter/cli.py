@@ -2,10 +2,12 @@
 
 Subcommands emit CSV (curves/surfaces) or JSON (matrices/reports) with full
 round-trip float formatting, so repeated runs with the same flags and seed
-produce byte-identical output.  A JSON config file (sections named after
-subcommands, keys named after flags with underscores) can supply defaults;
-explicit flags win over the config, the config wins over built-ins.  The
-``QWROUTER_CONFIG`` environment variable names a default config path.
+produce byte-identical output.  CSV is written as it is formatted (``_emit``),
+one row, or one ``t``-row of a surface, at a time.  A JSON config file
+(sections named after subcommands, keys named after flags with underscores)
+can supply defaults; explicit flags win over the config, the config wins over
+built-ins.  The ``QWROUTER_CONFIG`` environment variable names a default
+config path.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 import click
 import numpy as np
@@ -27,6 +32,7 @@ from .hamiltonian import (
 from .noise import (
     _TRAJECTORY_BLOCK,
     OUSpec,
+    StaticNoiseFidelity,
     VonMisesSpec,
     ou_fidelity_curve,
     static_noise_fidelity,
@@ -86,29 +92,49 @@ def _fmt(x) -> str:
 
 
 def _surface_csv(ts: np.ndarray, ps: np.ndarray, values: np.ndarray,
-                 wrong: np.ndarray) -> str:
-    """CSV text ``t,param,fidelity,p_wrong``, one line per cell, t-major.
+                 wrong: np.ndarray) -> Iterator[str]:
+    """CSV chunks ``t,param,fidelity,p_wrong``: the header line, then one chunk per
+    ``t`` holding that row's cells, one line each, t-major.
 
-    Formats Python floats from ``tolist()``, whose ``repr`` equals ``_fmt`` of
-    the float64 cell, so whole lines are built without numpy scalar indexing.
+    Formats one row's Python floats from ``tolist()`` at a time, whose ``repr``
+    equals ``_fmt`` of the float64 cell, so only the surface arrays and one row
+    of text are resident.
     """
     cols = [f",{p!r}," for p in ps.tolist()]
-    lines = ["t,param,fidelity,p_wrong"]
-    for t, row, wrow in zip(ts.tolist(), values.tolist(), wrong.tolist()):
+    yield "t,param,fidelity,p_wrong\n"
+    for t, row, wrow in zip(ts.tolist(), values, wrong):
         prefix = repr(t)
-        lines.extend([f"{prefix}{c}{f!r},{w!r}" for c, f, w in zip(cols, row, wrow)])
-    return "\n".join(lines) + "\n"
+        yield "".join([f"{prefix}{c}{f!r},{w!r}\n"
+                       for c, f, w in zip(cols, row.tolist(), wrow.tolist())])
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
+def _emit(chunks: Iterable[str], output: str | None) -> None:
+    """Write ``chunks`` in order, each as soon as it is produced, to the file
+    ``output`` or to stdout, then flush once.
+
+    An error raised mid-stream leaves the chunks written so far in place.  A
+    reader that closes stdout early (``| head``) ends the command quietly with
+    exit 0, and the remaining chunks are not produced.
+    """
+    if not output:
+        out = click.get_text_stream("stdout")
         try:
-            with open(output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise click.UsageError(f"cannot write output file: {exc}")
-    else:
-        click.echo(text, nl=False)
+            for chunk in chunks:
+                out.write(chunk)
+            out.flush()
+        except BrokenPipeError:
+            # Point stdout at devnull, so that the interpreter's final flush of
+            # the unsent buffer does not fail again at exit.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        return
+    try:
+        with open(output, "w", encoding="utf-8", newline="\n") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write output file: {exc}")
 
 
 def _matrix_pairs(arr: np.ndarray) -> list:
@@ -190,7 +216,7 @@ def hamiltonian_cmd(n: int, beta: float, phi: float, full: bool, output: str | N
         "dim": matrix.shape[0],
         "matrix": _matrix_pairs(matrix),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", output)
+    _emit([json.dumps(payload, indent=2) + "\n"], output)
 
 
 @main.command("scan")
@@ -258,7 +284,24 @@ def table1_cmd(row, sp_grid, output):
                 "abs_diff": abs(computed - reference),
             }
         )
-    _emit(json.dumps(report, indent=2) + "\n", output)
+    _emit([json.dumps(report, indent=2) + "\n"], output)
+
+
+def _vonmises_rows(params: RouterParams, sp: SuperpositionParams, vm: VonMisesSpec,
+                   t_max: float, t_steps: int, last: StaticNoiseFidelity) -> Iterator[str]:
+    """CSV lines ``t,fidelity,`` of the static-noise curve at ``t_steps`` equispaced
+    times in ``[0, t_max]``, each computed when requested; ``last`` is the value at
+    the last time.  After the rows, one stderr warning names every unconverged time."""
+    unconverged = []
+    for j in range(t_steps):
+        t = j * t_max / (t_steps - 1)
+        value = last if j == t_steps - 1 else static_noise_fidelity(params, t, sp, vm)
+        if not value.converged:
+            unconverged.append(f"t={_fmt(t)} (points_used={value.points_used})")
+        yield f"{_fmt(t)},{_fmt(value)},\n"
+    if unconverged:
+        click.echo("warning: von Mises quadrature did not converge at "
+                   + ", ".join(unconverged), err=True)
 
 
 @main.command("noise")
@@ -292,21 +335,18 @@ def noise_cmd(model, n, beta, phi, alpha, chi, t_max, t_steps, k, theta, sigma, 
     if not (math.isfinite(t_max) and t_max > 0):
         raise click.UsageError("t-max must be positive")
     sp = SuperpositionParams(alpha=alpha, chi=chi)
-    lines = ["t,fidelity,stderr"]
     if model == "vonmises":
         if k is None:
             raise click.UsageError("--k is required for the vonmises model")
         vm = VonMisesSpec(k=k)
-        unconverged = []
-        for j in range(t_steps):
-            t = j * t_max / (t_steps - 1)
-            value = static_noise_fidelity(params, t, sp, vm)
-            if not value.converged:
-                unconverged.append(f"t={_fmt(t)} (points_used={value.points_used})")
-            lines.append(f"{_fmt(t)},{_fmt(value)},")
-        if unconverged:
-            click.echo("warning: von Mises quadrature did not converge at "
-                       + ", ".join(unconverged), err=True)
+        # The phase overflow ``w t`` grows with t, so evaluating t-max and the last
+        # time (which can round past t-max, or overflow) first rejects an overflowing
+        # --t-max before any row or output file exists.
+        last_t = (t_steps - 1) * t_max / (t_steps - 1)
+        last = static_noise_fidelity(params, t_max, sp, vm)
+        if last_t != t_max:
+            last = static_noise_fidelity(params, last_t, sp, vm)
+        rows = _vonmises_rows(params, sp, vm, t_max, t_steps, last)
     else:
         spec = OUSpec(theta=theta, mu=mu, sigma_vol=sigma, dt=dt,
                       trajectories=trajectories, seed=seed)
@@ -329,9 +369,8 @@ def noise_cmd(model, n, beta, phi, alpha, chi, t_max, t_steps, k, theta, sigma, 
             click.echo(f"warning: {t_steps} snapshot times requested but only "
                        f"{len(times)} are distinct after snapping to whole steps "
                        f"of dt={_fmt(spec.dt)}", err=True)
-        for t, v, e in zip(times, values, errors):
-            lines.append(f"{_fmt(t)},{_fmt(v)},{_fmt(e)}")
-    _emit("\n".join(lines) + "\n", output)
+        rows = (f"{_fmt(t)},{_fmt(v)},{_fmt(e)}\n" for t, v, e in zip(times, values, errors))
+    _emit(chain(["t,fidelity,stderr\n"], rows), output)
 
 
 @main.command("verify-reduction")
@@ -353,7 +392,7 @@ def verify_reduction_cmd(ctx, n_max, trials, seed, tolerance, output):
     ok = overall <= tolerance
     lines.append(f"overall max deviation {overall:.3e} (tolerance {tolerance:.1e})")
     lines.append("PASS" if ok else "FAIL")
-    _emit("\n".join(lines) + "\n", output)
+    _emit(["\n".join(lines) + "\n"], output)
     if not ok:
         ctx.exit(1)
 
@@ -393,7 +432,7 @@ def optimize_cmd(objective, kind, n, beta, phi, t0, param0, t_min, t_max,
         "converged": result.converged,
         "evaluations": result.evaluations,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", output)
+    _emit([json.dumps(payload, indent=2) + "\n"], output)
 
 
 if __name__ == "__main__":

@@ -235,6 +235,13 @@ def _chart(grid: SuperpositionGrid) -> tuple[np.ndarray, np.ndarray]:
     return c, g
 
 
+@lru_cache(maxsize=32)
+def _axes(grid: SuperpositionGrid) -> tuple[list[float], list[float]]:
+    """``grid.alphas()`` and ``grid.chis()`` as Python floats, built once per grid
+    like ``_chart``: the descent reads one start from each per cell."""
+    return grid.alphas().tolist(), grid.chis().tolist()
+
+
 def fidelity_grid(
     params: RouterParams, t: float, grid: SuperpositionGrid | None = None
 ) -> np.ndarray:
@@ -332,7 +339,8 @@ def _min_at(u: list[complex], grid: SuperpositionGrid, refine: bool) -> float:
     best = float(f[i, j])
     if refine:
         objective = partial(_fidelity_at, *u)
-        alpha, chi = float(grid.alphas()[i]), float(grid.chis()[j])
+        alphas, chis = _axes(grid)
+        alpha, chi = alphas[i], chis[j]
         # The grid rounds apart from objective; the lower start keeps exact chi ties at alpha 0, 1.
         _, _, best = _descend(objective, alpha, chi, min(best, objective(alpha, chi)),
                               ((0.0, 1.0), (-math.inf, math.inf)),

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from qwrouter import (
     routing_fidelity,
     transition_probability,
 )
+import qwrouter
 from qwrouter import cli, hamiltonian, noise
 from qwrouter.cli import main
 
@@ -108,7 +114,7 @@ class TestScanCommand:
                 "--alpha-points", "5", "--chi-points", "8"]
         result = runner.invoke(main, args)
         assert result.exit_code == 0
-        monkeypatch.setattr(cli, "_surface_csv", surface_csv_reference)
+        monkeypatch.setattr(cli, "_surface_csv", lambda *a: [surface_csv_reference(*a)])
         reference = runner.invoke(main, args)
         assert reference.exit_code == 0
         assert result.output == reference.output
@@ -120,7 +126,7 @@ class TestScanCommand:
         ps = np.array(specials[3:])
         values = np.resize(np.array(specials), (4, 4))
         wrong = values[::-1, ::-1].copy()
-        text = cli._surface_csv(ts, ps, values, wrong)
+        text = "".join(cli._surface_csv(ts, ps, values, wrong))
         assert text == surface_csv_reference(ts, ps, values, wrong)
         cells = set(text.replace("\n", ",").split(","))
         assert {"-0.0", "0.0", "1.0", "5e-324", "1e+16", "0.30000000000000004", "nan"} <= cells
@@ -428,6 +434,93 @@ def test_invalid_input_exits_2_with_one_error_line(runner, tmp_path, args, messa
     lines = result.stderr.splitlines()
     assert lines[-1] == "Error: " + message.replace("{missing}", missing)
     assert lines[1] == f"Try 'main {args[0]} --help' for help."
+
+
+def traced_peak(run) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedOutput:
+    def test_surface_keeps_one_row_of_text(self):
+        # The joined text of this 501x401 surface is about 40 MB; one row is about 32 kB.
+        rng = np.random.default_rng(11)
+        ts, ps = np.linspace(0.0, 50.0, 501), np.linspace(0.0, 40.0, 401)
+        values, wrong = rng.random((501, 401)), rng.random((501, 401))
+        peak = traced_peak(lambda: cli._emit(cli._surface_csv(ts, ps, values, wrong),
+                                             os.devnull))
+        assert peak < 2 * 2**20
+
+    def test_vonmises_keeps_one_row_of_text(self, runner, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "static_noise_fidelity",
+                            lambda params, t, sp, vm: StaticNoiseFidelity(0.5, True, 8))
+        target = tmp_path / "curve.csv"
+        results = []
+        peak = traced_peak(lambda: results.append(runner.invoke(
+            main, ["noise", "vonmises", "--n", "20", "--k", "2", "--t-max", "25",
+                   "--t-steps", "200000", "--output", str(target)])))
+        assert results[0].exit_code == 0
+        assert peak < 2 * 2**20
+        with open(target, "rb") as fh:
+            assert sum(1 for _ in fh) == 1 + 200000
+
+    def test_vonmises_failure_mid_stream_keeps_the_rows_written(self, runner, monkeypatch,
+                                                                 tmp_path):
+        def fails_at_one(params, t, sp, vm):
+            if t == 1.0:
+                raise ValueError("quadrature failed")
+            return StaticNoiseFidelity(0.5, True, 8)
+
+        monkeypatch.setattr(cli, "static_noise_fidelity", fails_at_one)
+        target = tmp_path / "curve.csv"
+        result = runner.invoke(main, ["noise", "vonmises", "--n", "20", "--k", "2",
+                                      "--t-max", "2", "--t-steps", "3", "--output", str(target)])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1] == "Error: quadrature failed"
+        assert target.read_text() == "t,fidelity,stderr\n0.0,0.5,\n"
+
+    def test_closed_pipe_ends_quietly_with_exit_0(self):
+        # Like `qwrouter scan weight --n 50 | head -1`: the reader leaves mid-stream.
+        env = dict(os.environ)
+        src = str(Path(qwrouter.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "qwrouter.cli", "scan", "weight",
+                                 "--n", "50"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+        assert first == b"t,param,fidelity,p_wrong\n"
+        assert b"Traceback" not in stderr
+        assert stderr == b""
+        assert proc.returncode == 0
+
+
+OUTPUT_COMMANDS = [
+    ["scan", "weight", "--n", "5", "--t-steps", "4", "--param-steps", "3"],
+    ["noise", "vonmises", "--n", "20", "--k", "2", "--t-max", "2", "--t-steps", "3"],
+    ["noise", "ou", "--n", "20", "--trajectories", "4", "--t-max", "0.1", "--t-steps", "3"],
+    ["table1", "--row", "20", "--alpha-points", "5", "--chi-points", "8"],
+    ["optimize", "--n", "20", "--t0", "18.4", "--param0", "4.7"],
+    ["verify-reduction", "--n-max", "3", "--trials", "2"],
+    ["hamiltonian", "--n", "3"],
+]
+
+
+@pytest.mark.parametrize("args", OUTPUT_COMMANDS, ids=lambda a: " ".join(a[:2]))
+def test_output_file_holds_the_stdout_bytes(runner, tmp_path, args):
+    target = tmp_path / "out"
+    printed = runner.invoke(main, args)
+    written = runner.invoke(main, [*args, "--output", str(target)])
+    assert printed.exit_code == written.exit_code == 0
+    assert written.stdout_bytes == b""
+    assert printed.stdout_bytes.endswith(b"\n")
+    assert target.read_bytes() == printed.stdout_bytes
 
 
 class TestConfigFile:

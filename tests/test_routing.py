@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -367,6 +368,24 @@ def min_fidelity_loop_reference(params, t, grid):
 
 # Grids with a single chi, or two, keep the e^{+-i chi} cross terms of the
 # Gram matrix from cancelling.
+def former_min_at(u, grid, refine):
+    """``routing._min_at`` when it read the descent's start from ``grid.alphas()``
+    and ``grid.chis()``, two ``linspace`` calls per cell."""
+    from qwrouter import routing
+
+    f = routing._grid_from_elements(u, grid)
+    i, j = np.unravel_index(np.argmin(f), f.shape)
+    best = float(f[i, j])
+    if refine:
+        objective = partial(routing._fidelity_at, *u)
+        alpha, chi = float(grid.alphas()[i]), float(grid.chis()[j])
+        _, _, best = routing._descend(objective, alpha, chi, min(best, objective(alpha, chi)),
+                                      ((0.0, 1.0), (-math.inf, math.inf)),
+                                      1.0 / max(grid.alpha_points - 1, 1),
+                                      TWO_PI / grid.chi_points, 1e-4)
+    return routing._clamp01(best)
+
+
 REFERENCE_GRIDS = [
     SuperpositionGrid(41, 64),
     SuperpositionGrid(201, 64, measure="haar"),
@@ -446,6 +465,25 @@ class TestAgainstFormerLoops:
                 assert abs(got - min_fidelity(params, t, grid, refine=refine)) <= 1e-15
         assert min_fidelity(params, np.empty((0, 4)), grid, refine=refine).shape == (0, 4)
         assert type(min_fidelity(params, np.float64(2.0), grid, refine=refine)) is float
+
+    def test_worst_case_scan_reads_starts_from_cached_axes(self, monkeypatch):
+        from qwrouter import routing
+        from qwrouter.search import ScanGrid, scan
+
+        grid = SuperpositionGrid(7, 10)
+        scan_grid = ScanGrid((17.0, 19.5, 6), (0.5, 4.75, 5), "phase")
+        params = RouterParams(20, 1.0, 0.0)
+        reads = []
+        for name in ("alphas", "chis"):
+            real = getattr(SuperpositionGrid, name)
+            monkeypatch.setattr(SuperpositionGrid, name,
+                                lambda self, real=real: reads.append(1) or real(self))
+        surface = scan(params, scan_grid, "worst_case", grid)
+        assert len(reads) <= 4  # _chart and _axes, once per grid, not once per cell
+
+        monkeypatch.setattr(routing, "_min_at", former_min_at)
+        former = scan(params, scan_grid, "worst_case", grid)
+        assert surface.values.tobytes() == former.values.tobytes()
 
     @pytest.mark.parametrize("row", TABLE1_ROWS, ids=lambda r: f"n{r[0]}-{r[3]}")
     def test_min_fidelity_matches_loop_on_table1(self, row):
