@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
@@ -114,7 +115,8 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
 
     An error raised mid-stream leaves the chunks written so far in place.  A
     reader that closes stdout early (``| head``) ends the command quietly with
-    exit 0, and the remaining chunks are not produced.
+    exit 0, and the remaining chunks are not produced; any other stdout write
+    error (a full disk) exits 2 with its message.
     """
     if not output:
         out = click.get_text_stream("stdout")
@@ -122,12 +124,14 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
             for chunk in chunks:
                 out.write(chunk)
             out.flush()
-        except BrokenPipeError:
+        except OSError as exc:
             # Point stdout at devnull, so that the interpreter's final flush of
             # the unsent buffer does not fail again at exit.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, out.fileno())
             os.close(devnull)
+            if not isinstance(exc, BrokenPipeError):
+                raise click.UsageError(f"cannot write to stdout: {exc}")
         return
     try:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
@@ -339,10 +343,18 @@ def noise_cmd(model, n, beta, phi, alpha, chi, t_max, t_steps, k, theta, sigma, 
         if k is None:
             raise click.UsageError("--k is required for the vonmises model")
         vm = VonMisesSpec(k=k)
-        # The phase overflow ``w t`` grows with t, so evaluating t-max and the last
-        # time (which can round past t-max, or overflow) first rejects an overflowing
-        # --t-max before any row or output file exists.
+        if t_steps > sys.float_info.max:  # each row's time takes t_steps - 1 as a float
+            raise click.UsageError(f"t-steps must be >= 2 and at most {sys.float_info.max!r}")
+        # Row j's time is j * t_max / (t_steps - 1); the largest product is the last row's.
         last_t = (t_steps - 1) * t_max / (t_steps - 1)
+        if not math.isfinite(last_t):
+            raise click.UsageError(
+                f"the row times j * t-max / (t-steps - 1) overflow: (--t-steps - 1) * --t-max "
+                f"= {t_steps - 1} * {_fmt(t_max)} exceeds {sys.float_info.max!r}; "
+                "lower --t-max or --t-steps")
+        # The phase overflow ``w t`` grows with t, so evaluating t-max and the last
+        # time (which can round past t-max) first rejects an overflowing --t-max
+        # before any row or output file exists.
         last = static_noise_fidelity(params, t_max, sp, vm)
         if last_t != t_max:
             last = static_noise_fidelity(params, last_t, sp, vm)
@@ -421,7 +433,7 @@ def optimize_cmd(objective, kind, n, beta, phi, t0, param0, t_min, t_max,
     if param_max is None:
         param_max = TWO_PI if kind == "phase" else 40.0
     statistic = _STATISTICS[objective]
-    result = refine(lambda t, p: statistic(_with_param(params, kind, p), t, sp_grid),
+    result = refine(lambda t, p: statistic([_with_param(params, kind, p)], t, sp_grid)[0],
                     (t0, param0), ((t_min, t_max), (param_min, param_max)))
     payload = {
         "objective": objective,

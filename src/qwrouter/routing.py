@@ -207,7 +207,8 @@ def _fidelity_at(u41, u42, u31, u32, alpha: float, chi: float) -> float:
     ag = alpha * gamma
     ph = complex(math.cos(chi), math.sin(chi))
     ov = alpha * alpha * u41 + ag * ph * u42 + ag * ph.conjugate() * u31 + gamma * gamma * u32
-    return abs(ov) ** 2
+    a = abs(ov)
+    return a * a  # not a ** 2: that calls pow, which no numpy ufunc matches bit for bit
 
 
 def routing_fidelity(params: RouterParams, t: float, sp: SuperpositionParams) -> float:
@@ -325,25 +326,176 @@ def min_fidelity(
     """
     if grid is None:
         grid = SuperpositionGrid()
-    u = u_element_curve(params, t, *_TRANSFER)
-    if u.ndim == 1:
-        return _min_at(u.tolist(), grid, refine)
-    cells = np.moveaxis(u, 0, -1).reshape(-1, 4).tolist()
-    return np.array([_min_at(c, grid, refine) for c in cells], dtype=float).reshape(u.shape[1:])
+    return _worst_case(u_element_curve(params, t, *_TRANSFER), grid, refine)
+
+
+# The worst case's descent: alpha in [0, 1], chi unbounded, until both steps are below 1e-4.
+_BOUNDS = ((0.0, 1.0), (-math.inf, math.inf))
+_TOL = 1e-4
+# Cells descending in lockstep at once.  The lockstep state is 24 floats a cell, so this
+# bounds its memory whatever the surface; a cell that finishes makes room for the next.
+_LOCKSTEP_CELLS = 512
+# Once no cell waits and at most this many still descend, each finishes in ``_descend``:
+# a numpy sweep costs about as much as the scalar sweeps of a few dozen cells.
+_SCALAR_TAIL = 16
+# Rows of the lockstep state, one column per cell.  Rows _X to _BEST change with alpha,
+# _BEST to _CS with chi; _V and _W hold the planes of U42, U31 that multiply
+# Re(alpha gamma e^{i chi}) and Im(alpha gamma e^{i chi}) in the U42 and U31 terms.
+_X, _AG, _T1, _T4, _BEST = 0, 1, slice(2, 4), slice(4, 6), 6
+_Y, _CS, _STEP_X, _STEP_Y = 7, slice(8, 10), 10, 11
+_V, _W, _U41, _U32 = slice(12, 16), slice(16, 20), slice(20, 22), slice(22, 24)
+_ROWS = 24
+
+
+def _worst_case(u: np.ndarray, grid: SuperpositionGrid, refine: bool) -> float | np.ndarray:
+    """``min_fidelity`` from the transfer elements ``u = (U41, U42, U31, U32)`` of shape
+    ``(4, ...)``: a float for shape ``(4,)``, else an array of shape ``u.shape[1:]``.
+
+    Each cell takes its grid minimum, which ``refine`` polishes by ``_descend``
+    from there.  Beyond ``_SCALAR_TAIL`` cells the descents run in lockstep
+    (``_lockstep``), and every cell ends bit for bit where ``_descend`` alone
+    would take it; that few cells (a scalar time) keep the scalar path.
+    """
+    cells = u.reshape(4, -1)
+    out = np.empty(cells.shape[1])
+    if refine and out.size > _SCALAR_TAIL:
+        _lockstep(cells, grid, out)
+    else:
+        for lo in range(0, out.size, _LOCKSTEP_CELLS):
+            chunk = cells[:, lo:lo + _LOCKSTEP_CELLS].T.tolist()
+            out[lo:lo + len(chunk)] = [_min_at(cell, grid, refine) for cell in chunk]
+    np.clip(out, 0.0, 1.0, out=out)
+    return float(out[0]) if u.ndim == 1 else out.reshape(u.shape[1:])
+
+
+def _grid_start(u: list[complex], grid: SuperpositionGrid) -> tuple[float, float, float]:
+    """``(alpha, chi, fidelity)`` of the grid minimum for ``u = (U41, U42, U31, U32)``."""
+    f = _grid_from_elements(u, grid)
+    i, j = divmod(int(np.argmin(f)), grid.chi_points)
+    alphas, chis = _axes(grid)
+    return alphas[i], chis[j], float(f[i, j])
+
+
+def _steps(grid: SuperpositionGrid) -> tuple[float, float]:
+    """The descent's first steps: one grid spacing in alpha and in chi."""
+    return 1.0 / max(grid.alpha_points - 1, 1), TWO_PI / grid.chi_points
 
 
 def _min_at(u: list[complex], grid: SuperpositionGrid, refine: bool) -> float:
-    """``min_fidelity`` at one time from ``u = (U41, U42, U31, U32)``."""
-    f = _grid_from_elements(u, grid)
-    i, j = np.unravel_index(np.argmin(f), f.shape)
-    best = float(f[i, j])
+    """The unclamped worst case at one cell, by ``_descend`` alone."""
+    alpha, chi, best = _grid_start(u, grid)
     if refine:
         objective = partial(_fidelity_at, *u)
-        alphas, chis = _axes(grid)
-        alpha, chi = alphas[i], chis[j]
         # The grid rounds apart from objective; the lower start keeps exact chi ties at alpha 0, 1.
         _, _, best = _descend(objective, alpha, chi, min(best, objective(alpha, chi)),
-                              ((0.0, 1.0), (-math.inf, math.inf)),
-                              1.0 / max(grid.alpha_points - 1, 1), TWO_PI / grid.chi_points, 1e-4)
-    return _clamp01(best)
+                              _BOUNDS, *_steps(grid), _TOL)
+    return best
 
+
+def _lockstep(cells: np.ndarray, grid: SuperpositionGrid, out: np.ndarray) -> None:
+    """Write the unclamped worst case of every column of ``cells`` into ``out``:
+    ``_descend`` on ``_fidelity_at`` from the cell's grid minimum.
+
+    Up to ``_LOCKSTEP_CELLS`` cells descend together, one ``_sweep`` at a time; a
+    finished cell leaves and, once at most half remain, waiting cells enter.  So
+    the few cells that need thousands of sweeps share them, whatever their place
+    on the surface.  When no cell waits and at most ``_SCALAR_TAIL`` still descend,
+    each continues in ``_descend`` from its state.
+    """
+    idx = np.empty(0, dtype=np.intp)
+    state = np.empty((_ROWS, 0))
+    entered = 0
+    while True:
+        running = (state[_STEP_X] >= _TOL) | (state[_STEP_Y] >= _TOL)
+        if not running.all():
+            out[idx[~running]] = state[_BEST, ~running]
+            idx, state = idx[running], state[:, running]
+        if entered < out.size and idx.size <= _LOCKSTEP_CELLS // 2:
+            stop = min(out.size, entered + _LOCKSTEP_CELLS - idx.size)
+            idx = np.concatenate([idx, np.arange(entered, stop)])
+            state = np.concatenate([state, _start_state(cells[:, entered:stop], grid)], axis=1)
+            entered = stop
+            continue
+        if entered == out.size and idx.size <= _SCALAR_TAIL:
+            break
+        _sweep(state)
+    for k, col in zip(idx.tolist(), state.T.tolist()):
+        _, _, out[k] = _descend(partial(_fidelity_at, *cells[:, k].tolist()), col[_X], col[_Y],
+                                col[_BEST], _BOUNDS, col[_STEP_X], col[_STEP_Y], _TOL)
+
+
+def _start_state(u: np.ndarray, grid: SuperpositionGrid) -> np.ndarray:
+    """Lockstep state of the cells ``u`` (shape ``(4, m)``) at their grid minima, with
+    ``best`` the lower of the grid's and the objective's value there, as ``_min_at``
+    starts them."""
+    state = np.empty((_ROWS, u.shape[1]))
+    state[_X], state[_Y], state[_BEST] = zip(*(_grid_start(c, grid) for c in u.T.tolist()))
+    state[_STEP_X], state[_STEP_Y] = _steps(grid)
+    u41, u42, u31, u32 = u
+    state[_V] = u42.real, u42.imag, u31.real, u31.imag
+    state[_W] = -u42.imag, u42.real, u31.imag, -u31.real
+    state[_U41] = u41.real, u41.imag
+    state[_U32] = u32.real, u32.imag
+    state[_CS] = np.cos(state[_Y]), np.sin(state[_Y])
+    _alpha_terms(state, state)
+    np.minimum(state[_BEST], _square_overlap(state, state[_AG] * state[_CS], state[_T1],
+                                             state[_T4]), out=state[_BEST])
+    return state
+
+
+def _alpha_terms(state: np.ndarray, moved: np.ndarray) -> None:
+    """From the alphas in ``moved[_X]``, write ``alpha gamma``, ``alpha^2 U41`` and
+    ``gamma^2 U32`` into its rows _AG, _T1 and _T4, as ``_fidelity_at`` rounds them."""
+    alpha = moved[_X]
+    aa = alpha * alpha
+    gamma = np.sqrt(np.maximum(1.0 - aa, 0.0))
+    np.multiply(alpha, gamma, out=moved[_AG])
+    np.multiply(aa, state[_U41], out=moved[_T1])
+    gamma *= gamma
+    np.multiply(gamma, state[_U32], out=moved[_T4])
+
+
+def _square_overlap(state: np.ndarray, p: np.ndarray, t1: np.ndarray, t4: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """``|t1 + p U42 + conj(p) U31 + t4|^2`` per cell, from the planes of ``p = alpha gamma
+    e^{i chi}``, ``t1 = alpha^2 U41`` and ``t4 = gamma^2 U32``.
+
+    Each product and sum is the one CPython's complex arithmetic makes in
+    ``_fidelity_at``, in its order, and ``np.hypot`` is its ``abs``; numpy's own
+    complex multiply and ``abs`` round differently.
+    """
+    t23 = p[0] * state[_V]
+    t23 += p[1] * state[_W]
+    ov = t1 + t23[:2]
+    ov += t23[2:]
+    ov += t4
+    a = np.hypot(ov[0], ov[1], out=out)
+    return np.multiply(a, a, out=a)
+
+
+def _sweep(state: np.ndarray) -> None:
+    """One sweep of ``_descend`` on every cell of the lockstep state, in place: the moves
+    ``+-step_x`` then ``+-step_y`` in turn, each kept where it lowers ``best``; a cell
+    without a kept move halves both steps."""
+    x, best, y = state[_X], state[_BEST], state[_Y]
+    step_x, step_y = state[_STEP_X], state[_STEP_Y]
+    improved = np.zeros(x.size, dtype=bool)
+    moved = np.empty((_BEST + 1, x.size))  # the rows _X to _BEST of a move in alpha
+    for d, clamp, bound in ((step_x, np.minimum, 1.0), (-step_x, np.maximum, 0.0)):
+        clamp(np.add(x, d, out=moved[_X]), bound, out=moved[_X])
+        _alpha_terms(state, moved)
+        _square_overlap(state, moved[_AG] * state[_CS], moved[_T1], moved[_T4], moved[_BEST])
+        keep = (moved[_X] != x) & (moved[_BEST] < best)
+        np.copyto(state[:_BEST + 1], moved, where=keep)
+        improved |= keep
+    turned = np.empty((4, x.size))  # the rows _BEST to _CS of a move in chi
+    for d in (step_y, -step_y):
+        chi = np.add(y, d, out=turned[1])
+        np.cos(chi, out=turned[2])
+        np.sin(chi, out=turned[3])
+        _square_overlap(state, state[_AG] * turned[2:], state[_T1], state[_T4], turned[0])
+        keep = (chi != y) & (turned[0] < best)
+        np.copyto(state[_BEST:_STEP_X], turned, where=keep)
+        improved |= keep
+    np.multiply(state[_STEP_X:_STEP_Y + 1], 0.5, out=state[_STEP_X:_STEP_Y + 1],
+                where=~improved)

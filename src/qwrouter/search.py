@@ -10,11 +10,13 @@ import numpy as np
 
 from .hamiltonian import RouterParams
 from .routing import (
+    _TRANSFER,
     SuperpositionGrid,
     _descend,
+    _worst_case,
     average_fidelity,
-    min_fidelity,
     transition_probability,
+    u_element_curve,
 )
 
 __all__ = [
@@ -28,13 +30,30 @@ __all__ = [
 ]
 
 _KINDS = ("phase", "weight")
-# Objective name -> (params, t, grid) -> fidelities shaped like t.  The lambdas look the
-# statistics up when called, so wrappers rebound on this module's names see every call.
+# Objective name -> (columns, t, grid) -> fidelities of shape t.shape + (len(columns),), for
+# a list of column RouterParams.  The lambdas look the statistics up when called, so
+# wrappers rebound on this module's names see every call.  The worst case descends all
+# cells of all columns together, in one ``_worst_case`` call.
 _STATISTICS = {
-    "localized": lambda params, t, grid: transition_probability(params, t, 1, 4),
-    "average": lambda params, t, grid: average_fidelity(params, t, grid),
-    "worst_case": lambda params, t, grid: min_fidelity(params, t, grid),
+    "localized": lambda columns, t, grid: _column_stack(
+        columns, lambda p: transition_probability(p, t, 1, 4)),
+    "average": lambda columns, t, grid: _column_stack(
+        columns, lambda p: average_fidelity(p, t, grid)),
+    "worst_case": lambda columns, t, grid: _worst_case(
+        _column_stack(columns, lambda p: u_element_curve(p, t, *_TRANSFER)),
+        SuperpositionGrid() if grid is None else grid, True),
 }
+
+
+def _column_stack(columns: list[RouterParams], result: Callable) -> np.ndarray:
+    """``result(p)`` for each column's ``p``, stacked on a new last axis as each arrives,
+    so no list of column results is held beside the stack."""
+    first = np.asarray(result(columns[0]))
+    out = np.empty(first.shape + (len(columns),), first.dtype)
+    out[..., 0] = first
+    for j, p in enumerate(columns[1:], 1):
+        out[..., j] = result(p)
+    return out
 
 
 @dataclass(frozen=True)
@@ -139,20 +158,17 @@ def scan(
 
     ``localized`` evaluates the input-to-target transition probability,
     ``average`` the mean and ``worst_case`` the minimum superposition
-    fidelity.  Every objective and ``P16`` take one call per parameter
-    column, so one spectral decomposition serves each column.
+    fidelity.  The objective takes one call for the whole surface, which makes
+    one spectral read per parameter column, and ``P16`` one call per column, so
+    one spectral decomposition serves each column.
     """
     if objective not in _STATISTICS:
         raise ValueError(f"objective must be one of {tuple(_STATISTICS)}")
-    statistic = _STATISTICS[objective]
     ts = grid.t_values()
     ps = grid.param_values()
-    values = np.empty((ts.size, ps.size))
-    wrong = np.empty_like(values)
-    for j, p in enumerate(ps):
-        params = _with_param(params_base, grid.param_kind, p)
-        values[:, j] = statistic(params, ts, sp_grid)
-        wrong[:, j] = transition_probability(params, ts, 1, 6)
+    columns = [_with_param(params_base, grid.param_kind, p) for p in ps.tolist()]
+    values = _STATISTICS[objective](columns, ts, sp_grid)
+    wrong = _column_stack(columns, lambda p: transition_probability(p, ts, 1, 6))
     return ScanSurface(values, ts, ps, grid.param_kind, wrong)
 
 

@@ -390,7 +390,7 @@ INVALID_INPUTS = [
      "cannot write output file: [Errno 2] No such file or directory: '{missing}'"),
     (["scan", "weight", "--n", "5", "--t-steps", "3", "--param-steps", "2", "--t-max", "1e308"],
      "t is too large: the phases w t overflow for this Hamiltonian"),
-    (["noise", "vonmises", "--n", "5", "--k", "1", "--t-steps", "3", "--t-max", "1e308"],
+    (["noise", "vonmises", "--n", "5", "--k", "1", "--t-steps", "2", "--t-max", "1e308"],
      "t is too large: the phases w t overflow for this Hamiltonian"),
     (["hamiltonian", "--n", "1"], "n_outputs must be >= 2"),
     (["scan", "phase", "--n", "4", "--t-steps", "1"], "t_range: steps must be >= 2"),
@@ -409,6 +409,11 @@ INVALID_INPUTS = [
      "grid must be non-empty"),
     (["noise", "ou", "--n", "5", "--t-steps", str(10**400), "--trajectories", "2",
       "--t-max", "0.1"], "snapshots must be >= 2 and at most 1.7976931348623157e+308"),
+    (["noise", "vonmises", "--n", "5", "--k", "1", "--t-steps", str(10**400)],
+     "t-steps must be >= 2 and at most 1.7976931348623157e+308"),
+    (["noise", "vonmises", "--n", "5", "--k", "1", "--t-max", "1e307", "--t-steps", "100"],
+     "the row times j * t-max / (t-steps - 1) overflow: (--t-steps - 1) * --t-max "
+     "= 99 * 1e+307 exceeds 1.7976931348623157e+308; lower --t-max or --t-steps"),
 ]
 
 
@@ -499,6 +504,22 @@ class TestStreamedOutput:
         assert b"Traceback" not in stderr
         assert stderr == b""
         assert proc.returncode == 0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_full_stdout_exits_2_with_one_error_line(self):
+        # Like `qwrouter hamiltonian --n 3 > /dev/full`: every write fails with ENOSPC.
+        env = dict(os.environ)
+        src = str(Path(qwrouter.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qwrouter.cli", "hamiltonian", "--n", "3"],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+        stderr = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert "Traceback" not in stderr
+        assert stderr.splitlines()[-1] == (
+            "Error: cannot write to stdout: [Errno 28] No space left on device")
 
 
 OUTPUT_COMMANDS = [

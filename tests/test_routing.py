@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -26,6 +27,7 @@ from qwrouter import (
     target_state,
     transition_probability,
 )
+from qwrouter import routing
 from qwrouter.cli import TABLE1_ROWS
 from qwrouter.routing import _TRANSFER, _chart, u_element_curve
 
@@ -244,8 +246,6 @@ class TestGridStatistics:
         ) + 1e-15
 
     def test_min_fidelity_reads_transfer_elements_once(self, monkeypatch):
-        from qwrouter import routing
-
         p = RouterParams(20, 1.0, 4.708)
         grid = SuperpositionGrid(21, 32)
         calls = []
@@ -371,7 +371,6 @@ def min_fidelity_loop_reference(params, t, grid):
 def former_min_at(u, grid, refine):
     """``routing._min_at`` when it read the descent's start from ``grid.alphas()``
     and ``grid.chis()``, two ``linspace`` calls per cell."""
-    from qwrouter import routing
 
     f = routing._grid_from_elements(u, grid)
     i, j = np.unravel_index(np.argmin(f), f.shape)
@@ -384,6 +383,15 @@ def former_min_at(u, grid, refine):
                                       1.0 / max(grid.alpha_points - 1, 1),
                                       TWO_PI / grid.chi_points, 1e-4)
     return routing._clamp01(best)
+
+
+def pow_fidelity_at(u41, u42, u31, u32, alpha, chi):
+    """``routing._fidelity_at`` when it squared ``abs(ov)`` with ``** 2``."""
+    gamma = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    ag = alpha * gamma
+    ph = complex(math.cos(chi), math.sin(chi))
+    ov = alpha * alpha * u41 + ag * ph * u42 + ag * ph.conjugate() * u31 + gamma * gamma * u32
+    return abs(ov) ** 2
 
 
 REFERENCE_GRIDS = [
@@ -432,8 +440,6 @@ class TestAgainstFormerLoops:
         assert type(average_fidelity(params, np.float64(2.0), grid)) is float
 
     def test_average_builds_no_grid(self, monkeypatch):
-        from qwrouter import routing
-
         def no_grid(*args):
             raise AssertionError("average_fidelity built a fidelity grid")
 
@@ -467,7 +473,6 @@ class TestAgainstFormerLoops:
         assert type(min_fidelity(params, np.float64(2.0), grid, refine=refine)) is float
 
     def test_worst_case_scan_reads_starts_from_cached_axes(self, monkeypatch):
-        from qwrouter import routing
         from qwrouter.search import ScanGrid, scan
 
         grid = SuperpositionGrid(7, 10)
@@ -480,10 +485,19 @@ class TestAgainstFormerLoops:
                                 lambda self, real=real: reads.append(1) or real(self))
         surface = scan(params, scan_grid, "worst_case", grid)
         assert len(reads) <= 4  # _chart and _axes, once per grid, not once per cell
+        monkeypatch.undo()
 
-        monkeypatch.setattr(routing, "_min_at", former_min_at)
-        former = scan(params, scan_grid, "worst_case", grid)
-        assert surface.values.tobytes() == former.values.tobytes()
+        # The 30 cells descend in lockstep, and each lands where the former _min_at,
+        # one cell at a time, takes it.
+        assert surface.values.size > routing._SCALAR_TAIL
+        u = np.stack([u_element_curve(RouterParams(20, 1.0, phi), surface.t_values, *_TRANSFER)
+                      for phi in surface.param_values.tolist()], axis=-1)
+        cells = u.reshape(4, -1).T.tolist()
+        assert surface.values.ravel().tolist() == [former_min_at(c, grid, True) for c in cells]
+        # The former objective squared with ** 2 (pow), which can round one unit apart.
+        monkeypatch.setattr(routing, "_fidelity_at", pow_fidelity_at)
+        former = [former_min_at(c, grid, True) for c in cells]
+        np.testing.assert_allclose(surface.values.ravel(), former, rtol=0.0, atol=2.3e-16)
 
     @pytest.mark.parametrize("row", TABLE1_ROWS, ids=lambda r: f"n{r[0]}-{r[3]}")
     def test_min_fidelity_matches_loop_on_table1(self, row):
@@ -492,6 +506,96 @@ class TestAgainstFormerLoops:
         grid = SuperpositionGrid()
         got = min_fidelity(params, t, grid)
         assert abs(got - min_fidelity_loop_reference(params, t, grid)) <= 1e-15
+
+
+def traced_peak(run) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLockstep:
+    """``routing._worst_case`` descends many cells in lockstep; every cell must end
+    exactly where ``_descend`` alone takes it from the cell's grid start."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           grid=st.sampled_from(REFERENCE_GRIDS + [SuperpositionGrid(2, 1)]),
+           cells=st.integers(routing._SCALAR_TAIL + 1, 48))
+    def test_matches_descend_per_cell(self, seed, grid, cells):
+        # The 1x1, 3x2, 5x1 and 2x1 grids start many cells at alpha 1 or 0, where every
+        # chi ties exactly; on the 2x1 grid every cell starts there.
+        rng = np.random.default_rng(seed)
+        params, _ = random_router(rng)
+        u = u_element_curve(params, rng.uniform(0.0, 50.0, cells), *_TRANSFER)
+        got = routing._worst_case(u, grid, True)
+        assert got.tolist() == [former_min_at(c, grid, True) for c in u.T.tolist()]
+
+    def test_objective_planes_match_scalar_bit_for_bit(self):
+        # 20,000 points: the scalar objective once squared with ** 2, which
+        # differs from a * a in about 9 of 10^4 values.
+        rng = np.random.default_rng(41)
+        m = 20_000
+        u = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
+        state = routing._start_state(u, SuperpositionGrid(1, 1))
+        state[routing._X] = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, m - 2)])
+        state[routing._Y] = rng.uniform(-10.0, 10.0, m)
+        state[routing._CS] = np.cos(state[routing._Y]), np.sin(state[routing._Y])
+        routing._alpha_terms(state, state)
+        got = routing._square_overlap(state, state[routing._AG] * state[routing._CS],
+                                      state[routing._T1], state[routing._T4])
+        expected = [routing._fidelity_at(*c, a, chi) for c, a, chi in
+                    zip(u.T.tolist(), state[routing._X].tolist(), state[routing._Y].tolist())]
+        assert got.tolist() == expected
+
+    def test_long_tail_descends_in_lockstep(self, monkeypatch):
+        # Six of the slowest columns of the seed-0 benchmark surface (scan weight --n 50,
+        # t in [0, 50] x 101, beta in [0, 40] x 81): 33 of their cells need over 300
+        # sweeps and the slowest 5,281.
+        grid = SuperpositionGrid()
+        ts = np.linspace(0.0, 50.0, 101)
+        u = np.stack([u_element_curve(RouterParams(50, beta, 0.0), ts, *_TRANSFER)
+                      for beta in (0.5, 1.5, 4.5, 5.0, 7.5, 15.0)], axis=-1)
+        sizes = []
+        real = routing._sweep
+        monkeypatch.setattr(routing, "_sweep",
+                            lambda state: sizes.append(state.shape[1]) or real(state))
+        got = routing._worst_case(u, grid, True)
+        assert sum(size > routing._SCALAR_TAIL for size in sizes) >= 300
+        assert min(sizes) > routing._SCALAR_TAIL  # the rest finished in _descend
+        cells = u.reshape(4, -1).T.tolist()
+        assert got.ravel().tolist() == [former_min_at(c, grid, True) for c in cells]
+
+    @pytest.mark.parametrize("size", [1, 7, routing._LOCKSTEP_CELLS])
+    def test_lockstep_size_leaves_values(self, monkeypatch, size):
+        grid = SuperpositionGrid(9, 12)
+        rng = np.random.default_rng(23)
+        params, _ = random_router(rng)
+        u = u_element_curve(params, rng.uniform(0.0, 50.0, (15, 2)), *_TRANSFER)
+        expected = [former_min_at(c, grid, True) for c in u.reshape(4, -1).T.tolist()]
+        monkeypatch.setattr(routing, "_LOCKSTEP_CELLS", size)
+        got = routing._worst_case(u, grid, True)
+        assert got.shape == (15, 2)
+        assert got.ravel().tolist() == expected
+
+    def test_memory_is_bounded_by_the_lockstep_size(self):
+        grid = SuperpositionGrid(9, 12)
+        rng = np.random.default_rng(29)
+        params, _ = random_router(rng)
+        n = routing._LOCKSTEP_CELLS + 100
+        peaks = []
+        for cells in (n, 4 * n):
+            u = u_element_curve(params, rng.uniform(0.0, 50.0, cells), *_TRANSFER)
+            # U32 = 0 puts every minimum, 0, at alpha = 0, so each descent only halves
+            # its steps: this measures the lockstep's state, not the length of its work.
+            u[3] = 0.0
+            peaks.append(traced_peak(lambda: routing._worst_case(u, grid, True)))
+        # 3n more cells of complex input (4 x 16 B) and float output (8 B).
+        assert peaks[1] - peaks[0] <= 3 * n * (4 * 16 + 8)
 
 
 class TestDensityMatrix:

@@ -168,7 +168,7 @@ class TestScan:
                     assert abs(surface.values[i, j] - average_fidelity(params, t, sp)) <= 1e-15
 
     def test_worst_case_columns_match_cells(self):
-        # One min_fidelity call per column against the former per-cell loop.
+        # One worst-case call for the whole surface against the former per-cell loop.
         base = RouterParams(30, 1.0, 0.3)
         grid = ScanGrid((0.0, 40.0, 21), (0.2, 2.0, 4), "weight")
         for sp in (None, SuperpositionGrid(9, 12, "haar")):
@@ -179,20 +179,27 @@ class TestScan:
                     assert abs(surface.values[i, j] - min_fidelity(params, t, sp)) <= 1e-15
 
     def test_statistics_are_looked_up_when_called(self, monkeypatch):
-        # A wrapper bound to the module's name, as a tracer installs, sees each column's call.
+        # Wrappers bound to the module's names, as a tracer installs, see the scan's calls:
+        # one statistic call per column, or one worst case for the whole surface.
         from qwrouter import search
 
         calls = []
-        real = search.min_fidelity
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(search, "min_fidelity", counting)
+        for name in ("transition_probability", "average_fidelity", "u_element_curve",
+                     "_worst_case"):
+            real = getattr(search, name)
+            monkeypatch.setattr(search, name, lambda *args, name=name, real=real:
+                                calls.append(name) or real(*args))
         grid = ScanGrid((0.0, 1.0, 3), (0.0, 1.0, 4), "phase")
-        scan(RouterParams(8, 1.0, 0.0), grid, "worst_case", SuperpositionGrid(3, 4))
-        assert len(calls) == 4
+        expected = {
+            "localized": ["transition_probability"] * 8,
+            "average": ["average_fidelity"] * 4 + ["transition_probability"] * 4,
+            "worst_case": ["u_element_curve"] * 4 + ["_worst_case"]
+            + ["transition_probability"] * 4,
+        }
+        for objective, names in expected.items():
+            calls.clear()
+            scan(RouterParams(8, 1.0, 0.0), grid, objective, SuperpositionGrid(3, 4))
+            assert calls == names
 
     def test_wrong_matches_cells_for_every_objective(self):
         base = RouterParams(12, 0.8, 0.0)
