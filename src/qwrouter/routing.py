@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -236,29 +236,26 @@ def _chart(grid: SuperpositionGrid) -> tuple[np.ndarray, np.ndarray]:
     return c, g
 
 
-@lru_cache(maxsize=32)
-def _axes(grid: SuperpositionGrid) -> tuple[list[float], list[float]]:
-    """``grid.alphas()`` and ``grid.chis()`` as Python floats, built once per grid
-    like ``_chart``: the descent reads one start from each per cell."""
-    return grid.alphas().tolist(), grid.chis().tolist()
-
-
 def fidelity_grid(
     params: RouterParams, t: float, grid: SuperpositionGrid | None = None
 ) -> np.ndarray:
     """Routing fidelity over the (alpha, chi) grid; shape (alpha_points, chi_points)."""
     if grid is None:
         grid = SuperpositionGrid()
-    return _grid_from_elements(u_element_curve(params, t, *_TRANSFER).tolist(), grid)
+    u = u_element_curve(params, t, *_TRANSFER)
+    return _grid_fidelity(u[:, None, None], _chart(grid)[0])
 
 
-def _grid_from_elements(u: list[complex], grid: SuperpositionGrid) -> np.ndarray:
-    """Fidelity grid from ``u = (U41, U42, U31, U32)``, summed elementwise: a BLAS
-    contraction here would wake idle BLAS worker threads on every call."""
-    c = _chart(grid)[0]
-    u41, u42, u31, u32 = u
-    overlap = u41 * c[0] + u42 * c[1] + u31 * c[2] + u32 * c[3]
-    return np.clip(np.abs(overlap) ** 2, 0.0, 1.0)
+def _grid_fidelity(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``|sum_k u_k c_k|^2`` clipped to [0, 1], elementwise over ``u = (U41, U42, U31,
+    U32)`` and chart coefficients ``c`` broadcast together (axis 0 is ``k``).
+
+    The fidelity grid and the worst case's exact grid values both come from here,
+    so they round alike.  It is summed elementwise: a BLAS contraction would wake
+    idle BLAS worker threads on every call.
+    """
+    f = np.abs(u[0] * c[0] + u[1] * c[1] + u[2] * c[2] + u[3] * c[3]) ** 2
+    return np.minimum(f, 1.0, out=f)  # the clip to [0, 1]: a square is never below 0
 
 
 def average_fidelity(
@@ -277,39 +274,6 @@ def average_fidelity(
     return np.clip(np.einsum("kl,k...,l...->...", g, u, u.conj()).real, 0.0, 1.0)
 
 
-def _descend(f: Callable[[float, float], float], x: float, y: float, best: float,
-             bounds, step_x: float, step_y: float, tol: float) -> tuple[float, float, float]:
-    """Step-halving coordinate descent on ``f`` from ``f(x, y) == best``; returns ``(x, y, best)``.
-
-    Each sweep tries ``+-step_x`` then ``+-step_y``, clamped to ``bounds =
-    ((x_lo, x_hi), (y_lo, y_hi))`` (a move the clamp leaves in place is
-    skipped), and keeps every move that lowers ``best``; a sweep without one
-    halves both steps, until both are below ``tol``.
-    """
-    # A clamped move takes the bound itself, so int bounds must not give int coordinates.
-    x_lo, x_hi, y_lo, y_hi = (float(b) for pair in bounds for b in pair)
-    while step_x >= tol or step_y >= tol:
-        improved = False
-        for d in (step_x, -step_x):
-            cand = x + d  # comparisons, not min(max()): builtin calls slowed this loop ~20%
-            cand = x_lo if cand < x_lo else x_hi if cand > x_hi else cand
-            if cand != x:
-                val = f(cand, y)
-                if val < best:
-                    x, best, improved = cand, val, True
-        for d in (step_y, -step_y):
-            cand = y + d
-            cand = y_lo if cand < y_lo else y_hi if cand > y_hi else cand
-            if cand != y:
-                val = f(x, cand)
-                if val < best:
-                    y, best, improved = cand, val, True
-        if not improved:
-            step_x *= 0.5
-            step_y *= 0.5
-    return x, y, best
-
-
 def min_fidelity(
     params: RouterParams,
     t,
@@ -318,9 +282,9 @@ def min_fidelity(
 ) -> float | np.ndarray:
     """Worst-case routing fidelity over (alpha, chi).
 
-    Takes the grid minimum and, by default, polishes it with ``_descend``
-    (chi unbounded; step-halving until both steps drop below 1e-4), since a
-    bare grid minimum can overestimate the true worst case.  A float for a
+    Takes the grid minimum and, by default, polishes it by step-halving
+    coordinate descent (chi unbounded; until both steps drop below 1e-4), since
+    a bare grid minimum can overestimate the true worst case.  A float for a
     scalar ``t``; an array of the shape of ``t`` for an array of times, whose
     elements come from one ``u_element_curve`` call.
     """
@@ -330,14 +294,26 @@ def min_fidelity(
 
 
 # The worst case's descent: alpha in [0, 1], chi unbounded, until both steps are below 1e-4.
-_BOUNDS = ((0.0, 1.0), (-math.inf, math.inf))
 _TOL = 1e-4
-# Cells descending in lockstep at once.  The lockstep state is 24 floats a cell, so this
-# bounds its memory whatever the surface; a cell that finishes makes room for the next.
-_LOCKSTEP_CELLS = 512
-# Once no cell waits and at most this many still descend, each finishes in ``_descend``:
-# a numpy sweep costs about as much as the scalar sweeps of a few dozen cells.
+# Cells descending in lockstep at once.  The lockstep state is 24 floats a cell (48 during a
+# sweep), so this bounds its memory whatever the surface; a cell that finishes makes room
+# for the next.
+_LOCKSTEP_CELLS = 256
+# Once no cell waits and at most this many still descend, each finishes in ``_descend_cell``:
+# a numpy sweep costs about as much as the scalar sweeps of a dozen or two cells.
 _SCALAR_TAIL = 16
+# ``_grid_starts`` screens as many cells at once as fit in _SCREEN_BYTES of screen (8 bytes a
+# grid point; at least one cell), and recomputes their candidates _EXACT_CHUNK at a time.
+_SCREEN_BYTES = 1 << 18
+_EXACT_CHUNK = 1 << 12
+# Screened points within _SCREEN_SLACK * S^2 of their cell's least one, S = sum_k |u_k|, are
+# recomputed exactly.  Every chart coefficient has modulus <= 1, so |overlap| <= S and the
+# exact grid's value (4 products, 3 sums, abs, square) is within about 25 eps S^2 of the
+# true one, eps = 2^-52.  The screen sums at most 32 terms of h @ M and 5 of the second
+# GEMM, whose moduli add up to at most sqrt(2) S^2, so it is within about 60 eps S^2.  The
+# two differ by E < 90 eps S^2 at every point, and clipping to [0, 1] keeps that; so every
+# exact minimiser screens within 2E < 2^-42 S^2 of the least screened value.
+_SCREEN_SLACK = 2.0**-42
 # Rows of the lockstep state, one column per cell.  Rows _X to _BEST change with alpha,
 # _BEST to _CS with chi; _V and _W hold the planes of U42, U31 that multiply
 # Re(alpha gamma e^{i chi}) and Im(alpha gamma e^{i chi}) in the U42 and U31 terms.
@@ -351,29 +327,101 @@ def _worst_case(u: np.ndarray, grid: SuperpositionGrid, refine: bool) -> float |
     """``min_fidelity`` from the transfer elements ``u = (U41, U42, U31, U32)`` of shape
     ``(4, ...)``: a float for shape ``(4,)``, else an array of shape ``u.shape[1:]``.
 
-    Each cell takes its grid minimum, which ``refine`` polishes by ``_descend``
-    from there.  Beyond ``_SCALAR_TAIL`` cells the descents run in lockstep
-    (``_lockstep``), and every cell ends bit for bit where ``_descend`` alone
-    would take it; that few cells (a scalar time) keep the scalar path.
+    Each cell takes its grid minimum (``_grid_starts``), which ``refine`` polishes
+    by ``_descend_cell`` from there.  Beyond ``_SCALAR_TAIL`` cells the descents run
+    in lockstep (``_lockstep``), and every cell ends bit for bit where
+    ``_descend_cell`` alone would take it; that few cells (a scalar time) keep the
+    scalar path.
     """
     cells = u.reshape(4, -1)
-    out = np.empty(cells.shape[1])
-    if refine and out.size > _SCALAR_TAIL:
+    if refine and cells.shape[1] > _SCALAR_TAIL:
+        out = np.empty(cells.shape[1])
         _lockstep(cells, grid, out)
     else:
-        for lo in range(0, out.size, _LOCKSTEP_CELLS):
-            chunk = cells[:, lo:lo + _LOCKSTEP_CELLS].T.tolist()
-            out[lo:lo + len(chunk)] = [_min_at(cell, grid, refine) for cell in chunk]
-    np.clip(out, 0.0, 1.0, out=out)
+        alpha, chi, out = _grid_starts(cells, grid)
+        if refine:
+            steps = _steps(grid)
+            for k, start in enumerate(zip(alpha.tolist(), chi.tolist(), out.tolist())):
+                out[k] = _descend_cell(cells[:, k].tolist(), *start, *steps)
+    np.minimum(out, 1.0, out=out)  # clipped to [0, 1]: every value is a square or a grid value
     return float(out[0]) if u.ndim == 1 else out.reshape(u.shape[1:])
 
 
-def _grid_start(u: list[complex], grid: SuperpositionGrid) -> tuple[float, float, float]:
-    """``(alpha, chi, fidelity)`` of the grid minimum for ``u = (U41, U42, U31, U32)``."""
-    f = _grid_from_elements(u, grid)
-    i, j = divmod(int(np.argmin(f)), grid.chi_points)
-    alphas, chis = _axes(grid)
-    return alphas[i], chis[j], float(f[i, j])
+@lru_cache(maxsize=32)
+def _screen(grid: SuperpositionGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(alphas, chis, M, B)`` of ``grid``, built once per grid like ``_chart``.
+
+    ``B`` holds the rows ``1, cos chi, sin chi, cos 2 chi, sin 2 chi`` over the chis.
+    With ``h`` the real and imaginary parts of ``conj(u_a) u_b`` (a, b = 0..3, C
+    order) of a cell ``u``, ``(h @ M)[5 i:5 i + 5] @ B`` is its fidelity grid's row
+    ``i``: the chart's coefficients are ``c_a = r_a(alpha) e^{i n_a chi}`` with
+    ``n = (0, 1, -1, 0)``, so ``|sum_a c_a u_a|^2`` is
+    ``sum_{a, b} r_a r_b Re(e^{i (n_b - n_a) chi} conj(u_a) u_b)``.
+    """
+    alphas, chis = grid.alphas(), grid.chis()
+    gammas = np.sqrt(np.clip(1.0 - alphas**2, 0.0, None))
+    cross = alphas * gammas
+    r, n = (alphas**2, cross, cross, gammas**2), (0, 1, -1, 0)
+    weights = np.zeros((4, 4, 2, grid.alpha_points, 5))
+    for a in range(4):
+        for b in range(4):
+            turns = n[b] - n[a]
+            # Re(w e^{i turns chi} h) = w (Re h cos(turns chi) - Im h sin(turns chi))
+            weights[a, b, 0, :, 2 * abs(turns) - (turns != 0)] = r[a] * r[b]
+            if turns:
+                weights[a, b, 1, :, 2 * abs(turns)] = -math.copysign(1.0, turns) * r[a] * r[b]
+    basis = np.stack([np.ones_like(chis), np.cos(chis), np.sin(chis),
+                      np.cos(2.0 * chis), np.sin(2.0 * chis)])
+    arrays = alphas, chis, weights.reshape(32, -1), basis
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
+
+
+def _grid_starts(u: np.ndarray, grid: SuperpositionGrid) -> tuple[np.ndarray, np.ndarray,
+                                                                   np.ndarray]:
+    """``(alpha, chi, fidelity)`` arrays of the grid minima of the cells ``u`` (shape
+    ``(4, m)``): per cell, the first point in C order where ``fidelity_grid`` is
+    least, bit for bit.
+
+    Blocks of cells are screened by two real GEMMs (``_screen``); only the points
+    within ``_SCREEN_SLACK`` of their cell's least screened value are recomputed by
+    ``_grid_fidelity``.
+    """
+    alphas, chis, weights, basis = _screen(grid)
+    c = _chart(grid)[0].reshape(4, -1)
+    points = c.shape[1]
+    size = u.shape[1]
+    alpha, chi, best = np.empty(size), np.empty(size), np.empty(size)
+    block = max(1, min(size, _SCREEN_BYTES // (8 * points)))
+    scratch = np.empty(block * points)
+    for lo in range(0, size, block):
+        v = u[:, lo:lo + block]
+        cells = v.shape[1]
+        vt = v.T.copy()
+        h = np.conj(vt)[:, :, None] * vt[:, None, :]
+        screen = scratch[:cells * points].reshape(cells, points)
+        np.matmul((h.reshape(cells, 16).view(np.float64) @ weights).reshape(-1, 5), basis,
+                  out=screen.reshape(-1, grid.chi_points))
+        # The exact values are clipped to [0, 1], so their least is the clipped least.  A
+        # bound at 1 or above takes every point, since all clip to at most 1; below 1, the
+        # clip moves no point across it.
+        bound = np.maximum(screen.min(axis=1), 0.0)
+        bound += _SCREEN_SLACK * np.abs(v).sum(axis=0) ** 2
+        bound[bound >= 1.0] = np.inf
+        candidates = np.flatnonzero(screen <= bound[:, None])
+        cell = candidates // points
+        f = np.concatenate([_grid_fidelity(v[:, cell[k:k + _EXACT_CHUNK]],
+                                           c[:, candidates[k:k + _EXACT_CHUNK] % points])
+                            for k in range(0, candidates.size, _EXACT_CHUNK)])
+        # Every cell holds a candidate, and the candidates run in C order.
+        starts = np.searchsorted(cell, np.arange(cells))
+        first = np.minimum.reduceat(
+            np.where(f == np.minimum.reduceat(f, starts)[cell], np.arange(f.size), f.size),
+            starts)
+        i, j = np.divmod(candidates[first] % points, grid.chi_points)
+        alpha[lo:lo + cells], chi[lo:lo + cells], best[lo:lo + cells] = alphas[i], chis[j], f[first]
+    return alpha, chi, best
 
 
 def _steps(grid: SuperpositionGrid) -> tuple[float, float]:
@@ -381,26 +429,58 @@ def _steps(grid: SuperpositionGrid) -> tuple[float, float]:
     return 1.0 / max(grid.alpha_points - 1, 1), TWO_PI / grid.chi_points
 
 
-def _min_at(u: list[complex], grid: SuperpositionGrid, refine: bool) -> float:
-    """The unclamped worst case at one cell, by ``_descend`` alone."""
-    alpha, chi, best = _grid_start(u, grid)
-    if refine:
-        objective = partial(_fidelity_at, *u)
-        # The grid rounds apart from objective; the lower start keeps exact chi ties at alpha 0, 1.
-        _, _, best = _descend(objective, alpha, chi, min(best, objective(alpha, chi)),
-                              _BOUNDS, *_steps(grid), _TOL)
+def _descend_cell(u: list[complex], x: float, y: float, best: float, step_x: float,
+                  step_y: float) -> float:
+    """The unclamped worst case at one cell ``u = (U41, U42, U31, U32)``: step-halving
+    coordinate descent on ``_fidelity_at(*u, alpha, chi)`` from ``(x, y)``, with
+    ``best`` lowered to the objective there.
+
+    Each sweep tries ``+-step_x`` in alpha, clamped to [0, 1] (a move the clamp
+    leaves in place is skipped), then ``+-step_y`` in chi, and keeps every move that
+    lowers ``best``; a sweep without one halves both steps, until both are below
+    ``_TOL``.  The alpha terms and the phase of the point are kept, so each move
+    recomputes only those of its coordinate, each as ``_fidelity_at`` rounds it.
+    """
+    u41, u42, u31, u32 = u
+    # 1 - a * a >= 0 for a in [0, 1], so _fidelity_at's max(0.0, ...) leaves it as it is.
+    gamma = math.sqrt(1.0 - x * x)
+    ag, t1, t4 = x * gamma, x * x * u41, gamma * gamma * u32
+    ph = complex(math.cos(y), math.sin(y))
+    a = abs(t1 + ag * ph * u42 + ag * ph.conjugate() * u31 + t4)
+    best = min(best, a * a)
+    while step_x >= _TOL or step_y >= _TOL:
+        improved = False
+        for d in (step_x, -step_x):
+            cand = x + d  # comparisons, not min(max()): builtin calls slowed this loop ~20%
+            cand = 0.0 if cand < 0.0 else 1.0 if cand > 1.0 else cand
+            if cand != x:
+                gamma = math.sqrt(1.0 - cand * cand)
+                cag, c1, c4 = cand * gamma, cand * cand * u41, gamma * gamma * u32
+                a = abs(c1 + cag * ph * u42 + cag * ph.conjugate() * u31 + c4)
+                if a * a < best:
+                    x, ag, t1, t4, best, improved = cand, cag, c1, c4, a * a, True
+        for d in (step_y, -step_y):
+            cand = y + d
+            if cand != y:
+                turned = complex(math.cos(cand), math.sin(cand))
+                a = abs(t1 + ag * turned * u42 + ag * turned.conjugate() * u31 + t4)
+                if a * a < best:
+                    y, ph, best, improved = cand, turned, a * a, True
+        if not improved:
+            step_x *= 0.5
+            step_y *= 0.5
     return best
 
 
 def _lockstep(cells: np.ndarray, grid: SuperpositionGrid, out: np.ndarray) -> None:
     """Write the unclamped worst case of every column of ``cells`` into ``out``:
-    ``_descend`` on ``_fidelity_at`` from the cell's grid minimum.
+    ``_descend_cell`` from the cell's grid minimum.
 
     Up to ``_LOCKSTEP_CELLS`` cells descend together, one ``_sweep`` at a time; a
     finished cell leaves and, once at most half remain, waiting cells enter.  So
     the few cells that need thousands of sweeps share them, whatever their place
     on the surface.  When no cell waits and at most ``_SCALAR_TAIL`` still descend,
-    each continues in ``_descend`` from its state.
+    each continues in ``_descend_cell`` from its state.
     """
     idx = np.empty(0, dtype=np.intp)
     state = np.empty((_ROWS, 0))
@@ -420,16 +500,16 @@ def _lockstep(cells: np.ndarray, grid: SuperpositionGrid, out: np.ndarray) -> No
             break
         _sweep(state)
     for k, col in zip(idx.tolist(), state.T.tolist()):
-        _, _, out[k] = _descend(partial(_fidelity_at, *cells[:, k].tolist()), col[_X], col[_Y],
-                                col[_BEST], _BOUNDS, col[_STEP_X], col[_STEP_Y], _TOL)
+        out[k] = _descend_cell(cells[:, k].tolist(), col[_X], col[_Y], col[_BEST],
+                               col[_STEP_X], col[_STEP_Y])
 
 
 def _start_state(u: np.ndarray, grid: SuperpositionGrid) -> np.ndarray:
     """Lockstep state of the cells ``u`` (shape ``(4, m)``) at their grid minima, with
-    ``best`` the lower of the grid's and the objective's value there, as ``_min_at``
-    starts them."""
+    ``best`` the lower of the grid's and the objective's value there, as
+    ``_descend_cell`` starts them."""
     state = np.empty((_ROWS, u.shape[1]))
-    state[_X], state[_Y], state[_BEST] = zip(*(_grid_start(c, grid) for c in u.T.tolist()))
+    state[_X], state[_Y], state[_BEST] = _grid_starts(u, grid)
     state[_STEP_X], state[_STEP_Y] = _steps(grid)
     u41, u42, u31, u32 = u
     state[_V] = u42.real, u42.imag, u31.real, u31.imag
@@ -437,65 +517,102 @@ def _start_state(u: np.ndarray, grid: SuperpositionGrid) -> np.ndarray:
     state[_U41] = u41.real, u41.imag
     state[_U32] = u32.real, u32.imag
     state[_CS] = np.cos(state[_Y]), np.sin(state[_Y])
-    _alpha_terms(state, state)
-    np.minimum(state[_BEST], _square_overlap(state, state[_AG] * state[_CS], state[_T1],
-                                             state[_T4]), out=state[_BEST])
+    _alpha_terms(state)
+    np.minimum(state[_BEST], _square_overlap(state), out=state[_BEST])
     return state
 
 
-def _alpha_terms(state: np.ndarray, moved: np.ndarray) -> None:
-    """From the alphas in ``moved[_X]``, write ``alpha gamma``, ``alpha^2 U41`` and
-    ``gamma^2 U32`` into its rows _AG, _T1 and _T4, as ``_fidelity_at`` rounds them."""
-    alpha = moved[_X]
+def _alpha_terms(state: np.ndarray) -> None:
+    """From the alphas in row _X, write ``alpha gamma``, ``alpha^2 U41`` and
+    ``gamma^2 U32`` into the rows _AG, _T1 and _T4, as ``_descend_cell`` rounds them."""
+    alpha = state[_X]
     aa = alpha * alpha
-    gamma = np.sqrt(np.maximum(1.0 - aa, 0.0))
-    np.multiply(alpha, gamma, out=moved[_AG])
-    np.multiply(aa, state[_U41], out=moved[_T1])
+    gamma = np.sqrt(1.0 - aa)
+    np.multiply(alpha, gamma, out=state[_AG])
+    np.multiply(aa, state[_U41], out=state[_T1])
     gamma *= gamma
-    np.multiply(gamma, state[_U32], out=moved[_T4])
+    np.multiply(gamma, state[_U32], out=state[_T4])
 
 
-def _square_overlap(state: np.ndarray, p: np.ndarray, t1: np.ndarray, t4: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """``|t1 + p U42 + conj(p) U31 + t4|^2`` per cell, from the planes of ``p = alpha gamma
-    e^{i chi}``, ``t1 = alpha^2 U41`` and ``t4 = gamma^2 U32``.
+def _square_overlap(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``|t1 + p U42 + conj(p) U31 + t4|^2`` per cell, from the planes of ``p = alpha
+    gamma e^{i chi}`` (rows _AG and _CS), ``t1 = alpha^2 U41`` and ``t4 = gamma^2 U32``.
 
     Each product and sum is the one CPython's complex arithmetic makes in
-    ``_fidelity_at``, in its order, and ``np.hypot`` is its ``abs``; numpy's own
+    ``_descend_cell``, in its order, and ``np.hypot`` is its ``abs``; numpy's own
     complex multiply and ``abs`` round differently.
     """
-    t23 = p[0] * state[_V]
-    t23 += p[1] * state[_W]
-    ov = t1 + t23[:2]
+    p = state[_AG] * state[_CS]
+    t23 = p[:1] * state[_V]
+    t23 += p[1:] * state[_W]
+    ov = state[_T1] + t23[:2]
     ov += t23[2:]
-    ov += t4
+    ov += state[_T4]
     a = np.hypot(ov[0], ov[1], out=out)
     return np.multiply(a, a, out=a)
 
 
+def _alpha_move(state: np.ndarray) -> None:
+    """Clamp the alphas in row _X to [0, 1] and write the rows _AG to _BEST there."""
+    np.minimum(state[_X], 1.0, out=state[_X])
+    np.maximum(state[_X], 0.0, out=state[_X])
+    _alpha_terms(state)
+    _square_overlap(state, out=state[_BEST])
+
+
+def _chi_move(state: np.ndarray) -> None:
+    """Write the rows _CS and _BEST at the chis in row _Y."""
+    np.cos(state[_Y], out=state[_CS.start])
+    np.sin(state[_Y], out=state[_CS.start + 1])
+    _square_overlap(state, out=state[_BEST])
+
+
+# Per coordinate of a sweep: its row, its step's row, the rows a move changes, and the
+# function that values the moved cells.
+_MOVES = ((_X, _STEP_X, slice(_X, _BEST + 1), _alpha_move),
+          (_Y, _STEP_Y, slice(_BEST, _STEP_X), _chi_move))
+
+
 def _sweep(state: np.ndarray) -> None:
-    """One sweep of ``_descend`` on every cell of the lockstep state, in place: the moves
-    ``+-step_x`` then ``+-step_y`` in turn, each kept where it lowers ``best``; a cell
-    without a kept move halves both steps."""
-    x, best, y = state[_X], state[_BEST], state[_Y]
-    step_x, step_y = state[_STEP_X], state[_STEP_Y]
-    improved = np.zeros(x.size, dtype=bool)
-    moved = np.empty((_BEST + 1, x.size))  # the rows _X to _BEST of a move in alpha
-    for d, clamp, bound in ((step_x, np.minimum, 1.0), (-step_x, np.maximum, 0.0)):
-        clamp(np.add(x, d, out=moved[_X]), bound, out=moved[_X])
-        _alpha_terms(state, moved)
-        _square_overlap(state, moved[_AG] * state[_CS], moved[_T1], moved[_T4], moved[_BEST])
-        keep = (moved[_X] != x) & (moved[_BEST] < best)
-        np.copyto(state[:_BEST + 1], moved, where=keep)
-        improved |= keep
-    turned = np.empty((4, x.size))  # the rows _BEST to _CS of a move in chi
-    for d in (step_y, -step_y):
-        chi = np.add(y, d, out=turned[1])
-        np.cos(chi, out=turned[2])
-        np.sin(chi, out=turned[3])
-        _square_overlap(state, state[_AG] * turned[2:], state[_T1], state[_T4], turned[0])
-        keep = (chi != y) & (turned[0] < best)
-        np.copyto(state[_BEST:_STEP_X], turned, where=keep)
-        improved |= keep
+    """One sweep of ``_descend_cell`` on every cell of the lockstep state, in place: the
+    moves ``+-step_x`` then ``+-step_y``, each kept where it lowers ``best``; a cell
+    without a kept move halves both steps.
+
+    Both moves along a coordinate are valued from the same point, in one pass over
+    the state taken twice.  Where the ``+step`` move is kept, the scalar descent
+    tries ``-step`` from the new point; if that lands back on the old point its
+    value is at least the old ``best``, so it is rejected, and only the cells where
+    it does not (a clamp at alpha = 1, or ``y + d - d != y``) are valued again.
+    A move the clamp leaves in place, which the scalar descent skips, is valued
+    too: ``best`` never exceeds the value at the cell's point, so it is rejected.
+    """
+    m = state.shape[1]
+    before = state[_BEST].copy()
+    pair = np.concatenate([state, state], axis=1)
+    for coord, step, rows, move in _MOVES:
+        # The pair's alpha terms are those of the cells' points, also after moves in alpha.
+        pair[_AG:_BEST].reshape(_BEST - _AG, 2, m)[:] = state[_AG:_BEST, None]
+        np.add(state[coord], state[step], out=pair[coord, :m])
+        np.subtract(state[coord], state[step], out=pair[coord, m:])
+        move(pair)
+        lower = pair[_BEST].reshape(2, m) < state[_BEST]
+        redo = pair[coord, :m] - state[step] != state[coord]
+        np.copyto(state[rows], pair[rows, m:], where=lower[1])
+        np.copyto(state[rows], pair[rows, :m], where=lower[0])
+        redo &= lower[0]
+        if np.count_nonzero(redo):
+            _step_back(state, np.flatnonzero(redo), coord, step, move)
+    # Every kept move lowers best, so a cell whose best is unchanged kept none.
     np.multiply(state[_STEP_X:_STEP_Y + 1], 0.5, out=state[_STEP_X:_STEP_Y + 1],
-                where=~improved)
+                where=state[_BEST] == before)
+
+
+def _step_back(state: np.ndarray, cells: np.ndarray, coord: int, step: int,
+               move: Callable[[np.ndarray], None]) -> None:
+    """Try the ``-step`` move along ``coord`` from the state's point at ``cells``, and
+    keep it where it lowers ``best``."""
+    part = state[:, cells]
+    np.subtract(part[coord], part[step], out=part[coord])
+    move(part)
+    keep = part[_BEST] < state[_BEST, cells]
+    state[:, cells[keep]] = part[:, keep]

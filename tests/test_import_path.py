@@ -2,9 +2,8 @@
 
 scipy is never loaded: the static-noise quadrature weights its nodes by the
 bare von Mises kernel, so no Bessel function is evaluated.
-``numpy.polynomial`` (Gauss–Legendre nodes) is imported inside the function
-that uses it, so that every CLI op that never touches static noise skips its
-import.
+``numpy.polynomial`` is not imported at all: the static-noise quadrature
+builds its Gauss–Legendre rules itself.
 """
 
 import json

@@ -27,7 +27,7 @@ from qwrouter import (
     target_state,
     transition_probability,
 )
-from qwrouter import routing
+from qwrouter import routing, search
 from qwrouter.cli import TABLE1_ROWS
 from qwrouter.routing import _TRANSFER, _chart, u_element_curve
 
@@ -368,20 +368,33 @@ def min_fidelity_loop_reference(params, t, grid):
 
 # Grids with a single chi, or two, keep the e^{+-i chi} cross terms of the
 # Gram matrix from cancelling.
-def former_min_at(u, grid, refine):
-    """``routing._min_at`` when it read the descent's start from ``grid.alphas()``
-    and ``grid.chis()``, two ``linspace`` calls per cell."""
+def former_grid(u, grid):
+    """The former ``_grid_from_elements``: the fidelity grid of ``u = (U41, U42, U31,
+    U32)``, one element of ``u`` at a time against the whole chart."""
+    c = _chart(grid)[0]
+    u41, u42, u31, u32 = u
+    overlap = u41 * c[0] + u42 * c[1] + u31 * c[2] + u32 * c[3]
+    return np.clip(np.abs(overlap) ** 2, 0.0, 1.0)
 
-    f = routing._grid_from_elements(u, grid)
+
+def former_grid_start(u, grid):
+    """``(alpha, chi, best)`` of the grid minimum as the former per-cell ``_grid_start``
+    took it: the first ``np.argmin`` of the former grid."""
+    f = former_grid(u, grid)
     i, j = np.unravel_index(np.argmin(f), f.shape)
-    best = float(f[i, j])
+    return float(grid.alphas()[i]), float(grid.chis()[j]), float(f[i, j])
+
+
+def former_min_at(u, grid, refine):
+    """The worst case at one cell as the former ``routing._min_at`` took it: the grid
+    start, then ``_descend`` on ``_fidelity_at``."""
+    alpha, chi, best = former_grid_start(u, grid)
     if refine:
         objective = partial(routing._fidelity_at, *u)
-        alpha, chi = float(grid.alphas()[i]), float(grid.chis()[j])
-        _, _, best = routing._descend(objective, alpha, chi, min(best, objective(alpha, chi)),
-                                      ((0.0, 1.0), (-math.inf, math.inf)),
-                                      1.0 / max(grid.alpha_points - 1, 1),
-                                      TWO_PI / grid.chi_points, 1e-4)
+        _, _, best = search._descend(objective, alpha, chi, min(best, objective(alpha, chi)),
+                                     ((0.0, 1.0), (-math.inf, math.inf)),
+                                     1.0 / max(grid.alpha_points - 1, 1),
+                                     TWO_PI / grid.chi_points, 1e-4)
     return routing._clamp01(best)
 
 
@@ -443,7 +456,7 @@ class TestAgainstFormerLoops:
         def no_grid(*args):
             raise AssertionError("average_fidelity built a fidelity grid")
 
-        monkeypatch.setattr(routing, "_grid_from_elements", no_grid)
+        monkeypatch.setattr(routing, "_grid_fidelity", no_grid)
         got = average_fidelity(RouterParams(20, 1.0, 4.712), 18.55)
         assert got == pytest.approx(0.993, abs=0.01)
 
@@ -484,7 +497,7 @@ class TestAgainstFormerLoops:
             monkeypatch.setattr(SuperpositionGrid, name,
                                 lambda self, real=real: reads.append(1) or real(self))
         surface = scan(params, scan_grid, "worst_case", grid)
-        assert len(reads) <= 4  # _chart and _axes, once per grid, not once per cell
+        assert len(reads) <= 4  # _chart and _screen, once per grid, not once per cell
         monkeypatch.undo()
 
         # The 30 cells descend in lockstep, and each lands where the former _min_at,
@@ -518,17 +531,127 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
+def screen_cells(rng, kind, cells):
+    """Transfer elements ``(4, cells)`` of one kind for the screened grid minimum."""
+    if kind == "router":
+        params, _ = random_router(rng)
+        return u_element_curve(params, rng.uniform(0.0, 50.0, cells), *_TRANSFER)
+    u = rng.standard_normal((4, cells)) + 1j * rng.standard_normal((4, cells))
+    if kind == "scaled":
+        # Not unitary: most points exceed 1 and clip there, some cells everywhere.
+        return u * rng.uniform(0.5, 3.0)
+    if kind == "zeros":
+        # U41 = 0 ties every chi at alpha = 1, U32 = 0 at alpha = 0; u = 0 ties all points.
+        u[3 * rng.integers(0, 2, cells), np.arange(cells)] = 0.0
+        u[:, rng.random(cells) < 0.2] = 0.0
+        return 0.4 * u
+    # U31 = U42 (1 + d) makes the grid symmetric in chi up to rounding: near-ties 1e-16
+    # to 1e-15 apart.
+    u[2] = u[1] * (1.0 + rng.choice([0.0, 1e-15, -1e-15], cells))
+    return 0.4 * u
+
+
+# A 2x1 grid starts every cell at alpha 0 or 1, where every chi ties exactly.
+GRIDS_WITH_2X1 = REFERENCE_GRIDS + [SuperpositionGrid(2, 1)]
+
+
+def benchmark_surface_elements():
+    """Transfer elements of the seed-0 benchmark's worst-case surface: scan weight --n 50,
+    t in [0, 50] x 101, beta in [0, 40] x 81."""
+    ts = np.linspace(0.0, 50.0, 101)
+    return np.stack([u_element_curve(RouterParams(50, beta, 0.0), ts, *_TRANSFER)
+                     for beta in np.linspace(0.0, 40.0, 81)], axis=-1)
+
+
+class TestScreenedMinima:
+    """``routing._grid_starts`` screens every grid point and recomputes the few near the
+    least; it must pick the former per-cell grid start bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), grid=st.sampled_from(GRIDS_WITH_2X1),
+           kind=st.sampled_from(["router", "scaled", "zeros", "near_tie"]),
+           cells=st.integers(1, 40))
+    def test_matches_former_grid_start(self, seed, grid, kind, cells):
+        u = screen_cells(np.random.default_rng(seed), kind, cells)
+        got = list(zip(*(a.tolist() for a in routing._grid_starts(u, grid))))
+        assert got == [former_grid_start(c, grid) for c in u.T.tolist()]
+
+    @pytest.mark.parametrize("grid", GRIDS_WITH_2X1, ids=repr)
+    def test_fidelity_grid_matches_former_bit_for_bit(self, grid):
+        # fidelity_grid broadcasts u against the chart where the former grid took one
+        # element at a time; the screen's exact values come from the same expression.
+        rng = np.random.default_rng(53 + grid.alpha_points)
+        for _ in range(20):
+            params, t = random_router(rng)
+            u = u_element_curve(params, t, *_TRANSFER).tolist()
+            assert np.array_equal(fidelity_grid(params, t, grid), former_grid(u, grid))
+
+    @pytest.mark.parametrize("grid", GRIDS_WITH_2X1, ids=repr)
+    def test_exact_chi_ties_take_the_first_chi(self, grid):
+        # U41 = 0 is 0 at alpha = 1 and U32 = 0 at alpha = 0, for every chi.
+        u = np.array([[0.0, 0.3 + 0.1j], [0.2 - 0.4j, 0.1j], [0.5, -0.2], [0.1 + 0.6j, 0.0]])
+        got = list(zip(*(a.tolist() for a in routing._grid_starts(u, grid))))
+        assert got[0] == (1.0, 0.0, 0.0)
+        if grid.alpha_points > 1:  # a single alpha is 1
+            assert got[1] == (0.0, 0.0, 0.0)
+        assert got == [former_grid_start(c, grid) for c in u.T.tolist()]
+
+    def test_blocks_leave_values(self, monkeypatch):
+        # Blocks of one cell, of 3 and of every cell, and candidates recomputed 1 or 5
+        # at a time, all pick the same starts.
+        grid = SuperpositionGrid(9, 12)
+        u = screen_cells(np.random.default_rng(43), "zeros", 30)
+        expected = [former_grid_start(c, grid) for c in u.T.tolist()]
+        points = grid.alpha_points * grid.chi_points
+        for cells, chunk in ((1, 1), (3, 5), (30, routing._EXACT_CHUNK)):
+            monkeypatch.setattr(routing, "_SCREEN_BYTES", 8 * points * cells)
+            monkeypatch.setattr(routing, "_EXACT_CHUNK", chunk)
+            got = list(zip(*(a.tolist() for a in routing._grid_starts(u, grid))))
+            assert got == expected
+
+    def test_screen_memory_does_not_grow_with_cells(self):
+        # One cell of this grid (410,624 points) fills a screen block by itself.
+        grid = SuperpositionGrid(401, 1024)
+        points = grid.alpha_points * grid.chi_points
+        params = RouterParams(20, 1.0, 0.0)
+        ts = np.random.default_rng(37).uniform(0.0, 50.0, 8)
+        u = u_element_curve(params, ts, *_TRANSFER)
+        routing._grid_starts(u[:, :1], grid)  # builds the grid's chart and screen once
+        peaks = [traced_peak(lambda: routing._grid_starts(u[:, :n], grid)) for n in (1, 8)]
+        # The screen takes 8 bytes a point and its mask 1; the former grid took 32.
+        assert peaks[0] <= 10 * points
+        # More cells add their candidates and three floats of output each.
+        assert peaks[1] - peaks[0] <= points
+        # Without refinement the worst case is the per-cell grid minimum, bit for bit.
+        got = min_fidelity(params, ts[:4], grid, refine=False)
+        assert got.tolist() == [former_min_at(c, grid, False) for c in u[:, :4].T.tolist()]
+
+    def test_benchmark_surface_matches_former_per_cell(self, monkeypatch):
+        # Every cell of the seed-0 benchmark surface ends where the former _min_at takes
+        # it, and the sweeps re-value some "-step" moves after a kept "+step" one.
+        grid = SuperpositionGrid()
+        u = benchmark_surface_elements()
+        steps_back = []
+        real = routing._step_back
+        monkeypatch.setattr(routing, "_step_back", lambda state, cells, coord, *rest: (
+            steps_back.append(coord), real(state, cells, coord, *rest)))
+        got = routing._worst_case(u, grid, True)
+        assert set(steps_back) == {routing._X, routing._Y}
+        cells = u.reshape(4, -1).T.tolist()
+        assert got.ravel().tolist() == [former_min_at(c, grid, True) for c in cells]
+
+
 class TestLockstep:
     """``routing._worst_case`` descends many cells in lockstep; every cell must end
     exactly where ``_descend`` alone takes it from the cell's grid start."""
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           grid=st.sampled_from(REFERENCE_GRIDS + [SuperpositionGrid(2, 1)]),
-           cells=st.integers(routing._SCALAR_TAIL + 1, 48))
+    @given(seed=st.integers(0, 2**32 - 1), grid=st.sampled_from(GRIDS_WITH_2X1),
+           cells=st.integers(1, 48))
     def test_matches_descend_per_cell(self, seed, grid, cells):
         # The 1x1, 3x2, 5x1 and 2x1 grids start many cells at alpha 1 or 0, where every
-        # chi ties exactly; on the 2x1 grid every cell starts there.
+        # chi ties exactly; on the 2x1 grid every cell starts there.  Up to _SCALAR_TAIL
+        # cells descend one by one in _descend_cell.
         rng = np.random.default_rng(seed)
         params, _ = random_router(rng)
         u = u_element_curve(params, rng.uniform(0.0, 50.0, cells), *_TRANSFER)
@@ -545,9 +668,8 @@ class TestLockstep:
         state[routing._X] = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, m - 2)])
         state[routing._Y] = rng.uniform(-10.0, 10.0, m)
         state[routing._CS] = np.cos(state[routing._Y]), np.sin(state[routing._Y])
-        routing._alpha_terms(state, state)
-        got = routing._square_overlap(state, state[routing._AG] * state[routing._CS],
-                                      state[routing._T1], state[routing._T4])
+        routing._alpha_terms(state)
+        got = routing._square_overlap(state)
         expected = [routing._fidelity_at(*c, a, chi) for c, a, chi in
                     zip(u.T.tolist(), state[routing._X].tolist(), state[routing._Y].tolist())]
         assert got.tolist() == expected
@@ -570,7 +692,7 @@ class TestLockstep:
         cells = u.reshape(4, -1).T.tolist()
         assert got.ravel().tolist() == [former_min_at(c, grid, True) for c in cells]
 
-    @pytest.mark.parametrize("size", [1, 7, routing._LOCKSTEP_CELLS])
+    @pytest.mark.parametrize("size", [1, 7, routing._LOCKSTEP_CELLS, 512])
     def test_lockstep_size_leaves_values(self, monkeypatch, size):
         grid = SuperpositionGrid(9, 12)
         rng = np.random.default_rng(23)
