@@ -97,16 +97,36 @@ def _surface_csv(ts: np.ndarray, ps: np.ndarray, values: np.ndarray,
     """CSV chunks ``t,param,fidelity,p_wrong``: the header line, then one chunk per
     ``t`` holding that row's cells, one line each, t-major.
 
-    Formats one row's Python floats from ``tolist()`` at a time, whose ``repr``
-    equals ``_fmt`` of the float64 cell, so only the surface arrays and one row
-    of text are resident.
+    Every cell is ``_fmt`` of its float64 value, byte for byte.  The ``t`` and
+    ``param`` texts are ``repr``; the ``fidelity`` and ``p_wrong`` cells of a row
+    come from one ``orjson`` dump each (``_row_cells``).  Only the surface arrays
+    and one row of text are resident.
     """
     cols = [f",{p!r}," for p in ps.tolist()]
     yield "t,param,fidelity,p_wrong\n"
     for t, row, wrow in zip(ts.tolist(), values, wrong):
         prefix = repr(t)
-        yield "".join([f"{prefix}{c}{f!r},{w!r}\n"
-                       for c, f, w in zip(cols, row.tolist(), wrow.tolist())])
+        yield "".join([f"{prefix}{c}{f},{w}\n" for c, f, w in
+                       zip(cols, _row_cells(row), _row_cells(wrow))])
+
+
+def _row_cells(row: np.ndarray) -> list[str]:
+    """``_fmt`` of every cell of the 1-D ``row``, from one ``orjson`` dump.
+
+    orjson writes the shortest round-trip digits, as ``repr`` does, and in the
+    same notation at 0 and at ``1e-4 <= |x| < 1e16``.  Outside that range it
+    differs (``1e-7`` for ``1e-07``, ``1e16`` for ``1e+16``, positional digits
+    below 1e-4, ``null`` for nan and inf), so those cells take ``_fmt``.
+    """
+    import orjson  # only the scan writes surfaces: no other command loads it
+
+    row = np.ascontiguousarray(row, dtype=np.float64)  # orjson takes C-contiguous arrays only
+    cells = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(row)
+    outside = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (row != 0.0)
+    for k in np.flatnonzero(outside).tolist():
+        cells[k] = _fmt(row[k])
+    return cells
 
 
 def _emit(chunks: Iterable[str], output: str | None) -> None:

@@ -480,6 +480,8 @@ def _evolve_ensemble(
             psi = np.einsum("bij,bj->bi", step, psi)
             if m + 1 in column:
                 table[column[m + 1], lo:hi] = observe(psi)
+        # Free this block's paths and scratch before the next block draws its own.
+        del paths, trig, powers, step
     return table
 
 

@@ -9,8 +9,9 @@ transfer overlap is
                       + alpha gamma e^{-i chi} U31 + gamma^2 U32
 
 so every statistic over (alpha, chi) reuses one spectral decomposition per
-(n, beta, phi), memoized on the (hashable) ``RouterParams``, and one chart of
-the overlap coefficients per ``SuperpositionGrid``.
+(n, beta, phi), memoized on the (hashable) ``RouterParams``, and the axes of
+each ``SuperpositionGrid``, from which the overlap coefficients are charted
+where they are read.
 """
 
 from __future__ import annotations
@@ -217,23 +218,39 @@ def routing_fidelity(params: RouterParams, t: float, sp: SuperpositionParams) ->
     return _clamp01(_fidelity_at(*u, sp.alpha, sp.chi))
 
 
-@lru_cache(maxsize=32)
-def _chart(grid: SuperpositionGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(c, G)``: ``c[:, i, j]`` holds the coefficients
-    ``(alpha^2, alpha gamma e^{i chi}, alpha gamma e^{-i chi}, gamma^2)`` of
-    ``(U41, U42, U31, U32)`` at grid point (i, j); ``G[k, l]`` is the
-    measure-weighted grid mean of ``c[k] conj(c[l])``."""
-    alphas = grid.alphas()[:, None]
-    gammas = np.sqrt(np.clip(1.0 - alphas**2, 0.0, None))
-    phases = np.exp(1j * grid.chis())
+def _coefficients(alphas: np.ndarray, gammas: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The coefficients ``(alpha^2, alpha gamma e^{i chi}, alpha gamma e^{-i chi},
+    gamma^2)`` of ``(U41, U42, U31, U32)``, stacked on axis 0, elementwise over
+    ``alphas``, their ``gammas`` and ``phases = e^{i chi}`` broadcast together.
+
+    Each coefficient is an elementwise expression, so a point's coefficients have
+    the same bits whether the whole chart or only that point is computed.
+    """
     cross = alphas * gammas
-    c = np.stack(np.broadcast_arrays(alphas**2, cross * phases, cross * phases.conj(), gammas**2))
+    return np.stack(np.broadcast_arrays(alphas**2, cross * phases, cross * phases.conj(),
+                                        gammas**2))
+
+
+@lru_cache(maxsize=32)
+def _axes(grid: SuperpositionGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                            np.ndarray]:
+    """Read-only ``(alphas, gammas, chis, phases, G)`` of ``grid``: its axes, with
+    ``gamma = sqrt(1 - alpha^2)`` and ``phase = e^{i chi}``, and ``G[k, l]``, the
+    measure-weighted grid mean of ``c[k] conj(c[l])`` over the chart ``c`` of
+    ``_coefficients``.  The chart is built for ``G`` and dropped: only the axes,
+    about 32 bytes a point of either axis, stay cached.
+    """
+    alphas, chis = grid.alphas(), grid.chis()
+    gammas = np.sqrt(np.clip(1.0 - alphas**2, 0.0, None))
+    phases = np.exp(1j * chis)
+    c = _coefficients(alphas[:, None], gammas[:, None], phases)
     # alphas() always holds 1.0, so the haar weights never sum to zero.
-    w = grid.alphas() if grid.measure == "haar" else np.ones(grid.alpha_points)
+    w = alphas if grid.measure == "haar" else np.ones(grid.alpha_points)
     g = np.einsum("i,kij,lij->kl", w / (w.sum() * grid.chi_points), c, c.conj())
-    c.setflags(write=False)
-    g.setflags(write=False)
-    return c, g
+    arrays = alphas, gammas, chis, phases, g
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
 
 
 def fidelity_grid(
@@ -243,7 +260,9 @@ def fidelity_grid(
     if grid is None:
         grid = SuperpositionGrid()
     u = u_element_curve(params, t, *_TRANSFER)
-    return _grid_fidelity(u[:, None, None], _chart(grid)[0])
+    alphas, gammas, _, phases, _ = _axes(grid)
+    return _grid_fidelity(u[:, None, None],
+                          _coefficients(alphas[:, None], gammas[:, None], phases))
 
 
 def _grid_fidelity(u: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -268,7 +287,7 @@ def average_fidelity(
     if grid is None:
         grid = SuperpositionGrid()
     u = u_element_curve(params, t, *_TRANSFER)
-    g = _chart(grid)[1]
+    g = _axes(grid)[4]
     if u.ndim == 1:
         return _clamp01(float((g * np.outer(u, u.conj())).sum().real))
     return np.clip(np.einsum("kl,k...,l...->...", g, u, u.conj()).real, 0.0, 1.0)
@@ -348,8 +367,8 @@ def _worst_case(u: np.ndarray, grid: SuperpositionGrid, refine: bool) -> float |
 
 
 @lru_cache(maxsize=32)
-def _screen(grid: SuperpositionGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(alphas, chis, M, B)`` of ``grid``, built once per grid like ``_chart``.
+def _screen(grid: SuperpositionGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(M, B)`` of ``grid``, built once per grid like ``_axes``.
 
     ``B`` holds the rows ``1, cos chi, sin chi, cos 2 chi, sin 2 chi`` over the chis.
     With ``h`` the real and imaginary parts of ``conj(u_a) u_b`` (a, b = 0..3, C
@@ -358,8 +377,7 @@ def _screen(grid: SuperpositionGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ``n = (0, 1, -1, 0)``, so ``|sum_a c_a u_a|^2`` is
     ``sum_{a, b} r_a r_b Re(e^{i (n_b - n_a) chi} conj(u_a) u_b)``.
     """
-    alphas, chis = grid.alphas(), grid.chis()
-    gammas = np.sqrt(np.clip(1.0 - alphas**2, 0.0, None))
+    alphas, gammas, chis, _, _ = _axes(grid)
     cross = alphas * gammas
     r, n = (alphas**2, cross, cross, gammas**2), (0, 1, -1, 0)
     weights = np.zeros((4, 4, 2, grid.alpha_points, 5))
@@ -372,7 +390,7 @@ def _screen(grid: SuperpositionGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray
                 weights[a, b, 1, :, 2 * abs(turns)] = -math.copysign(1.0, turns) * r[a] * r[b]
     basis = np.stack([np.ones_like(chis), np.cos(chis), np.sin(chis),
                       np.cos(2.0 * chis), np.sin(2.0 * chis)])
-    arrays = alphas, chis, weights.reshape(32, -1), basis
+    arrays = weights.reshape(32, -1), basis
     for x in arrays:
         x.setflags(write=False)
     return arrays
@@ -386,11 +404,11 @@ def _grid_starts(u: np.ndarray, grid: SuperpositionGrid) -> tuple[np.ndarray, np
 
     Blocks of cells are screened by two real GEMMs (``_screen``); only the points
     within ``_SCREEN_SLACK`` of their cell's least screened value are recomputed by
-    ``_grid_fidelity``.
+    ``_grid_fidelity``, from their own coefficients (``_coefficients``).
     """
-    alphas, chis, weights, basis = _screen(grid)
-    c = _chart(grid)[0].reshape(4, -1)
-    points = c.shape[1]
+    alphas, gammas, chis, phases, _ = _axes(grid)
+    weights, basis = _screen(grid)
+    points = grid.alpha_points * grid.chi_points
     size = u.shape[1]
     alpha, chi, best = np.empty(size), np.empty(size), np.empty(size)
     block = max(1, min(size, _SCREEN_BYTES // (8 * points)))
@@ -410,17 +428,21 @@ def _grid_starts(u: np.ndarray, grid: SuperpositionGrid) -> tuple[np.ndarray, np
         bound += _SCREEN_SLACK * np.abs(v).sum(axis=0) ** 2
         bound[bound >= 1.0] = np.inf
         candidates = np.flatnonzero(screen <= bound[:, None])
-        cell = candidates // points
-        f = np.concatenate([_grid_fidelity(v[:, cell[k:k + _EXACT_CHUNK]],
-                                           c[:, candidates[k:k + _EXACT_CHUNK] % points])
-                            for k in range(0, candidates.size, _EXACT_CHUNK)])
+        cell, point = np.divmod(candidates, points)
+        i, j = np.divmod(point, grid.chi_points)
+        f = np.concatenate([
+            _grid_fidelity(v[:, cell[k:k + _EXACT_CHUNK]],
+                           _coefficients(alphas[i[k:k + _EXACT_CHUNK]],
+                                         gammas[i[k:k + _EXACT_CHUNK]],
+                                         phases[j[k:k + _EXACT_CHUNK]]))
+            for k in range(0, candidates.size, _EXACT_CHUNK)])
         # Every cell holds a candidate, and the candidates run in C order.
         starts = np.searchsorted(cell, np.arange(cells))
         first = np.minimum.reduceat(
             np.where(f == np.minimum.reduceat(f, starts)[cell], np.arange(f.size), f.size),
             starts)
-        i, j = np.divmod(candidates[first] % points, grid.chi_points)
-        alpha[lo:lo + cells], chi[lo:lo + cells], best[lo:lo + cells] = alphas[i], chis[j], f[first]
+        alpha[lo:lo + cells], chi[lo:lo + cells] = alphas[i[first]], chis[j[first]]
+        best[lo:lo + cells] = f[first]
     return alpha, chi, best
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from qwrouter import (
     RouterParams,
@@ -26,6 +28,18 @@ from qwrouter.cli import main
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+# Floats at and around the ends of the range where orjson's notation equals repr's
+# (0 and 1e-4 <= |x| < 1e16), subnormal and normal extremes, and non-finite values.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, math.nextafter(1e-4, 0.0), 1e-4,
+               math.nextafter(1e16, 0.0), 1e16, 1.0, 0.1 + 0.2, 1e-7, 5.7492118984331466e-05,
+               1.7976931348623157e308, math.nan, math.inf]
+EDGE_FLOATS += [-x for x in EDGE_FLOATS if x == x and x != 0.0]
+# Any float64 bit pattern (every NaN payload, subnormals, both infinities), or an edge float.
+ANY_FLOAT = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]),
+    st.sampled_from(EDGE_FLOATS))
 
 
 def as_complex(pairs):
@@ -121,15 +135,28 @@ class TestScanCommand:
         assert len(result.output.split("\n")) == 1 + 6 * 5 + 1
 
     def test_writer_matches_former_cell_loop_on_special_floats(self):
-        specials = [-0.0, 0.0, 1.0, 5e-324, 1e16, 0.1 + 0.2, math.nan]
-        ts = np.array(specials[:4])
-        ps = np.array(specials[3:])
-        values = np.resize(np.array(specials), (4, 4))
+        # Every edge float stands in each of the t, param, fidelity and p_wrong columns.
+        ts = ps = np.array(EDGE_FLOATS)
+        values = np.resize(np.array(EDGE_FLOATS[1:] + EDGE_FLOATS[:1]), (ts.size, ps.size))
         wrong = values[::-1, ::-1].copy()
         text = "".join(cli._surface_csv(ts, ps, values, wrong))
         assert text == surface_csv_reference(ts, ps, values, wrong)
-        cells = set(text.replace("\n", ",").split(","))
-        assert {"-0.0", "0.0", "1.0", "5e-324", "1e+16", "0.30000000000000004", "nan"} <= cells
+        rows = [line.split(",") for line in text.split("\n")[1:-1]]
+        expected = {repr(x) for x in EDGE_FLOATS}
+        assert all(set(column) == expected for column in zip(*rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_writer_matches_former_cell_loop_on_any_float(self, t_count, p_count, data):
+        def floats(count):
+            return np.array(data.draw(st.lists(ANY_FLOAT, min_size=count, max_size=count)))
+
+        ts, ps = floats(t_count), floats(p_count)
+        values = floats(t_count * p_count).reshape(t_count, p_count)
+        # A Fortran-ordered surface: its rows are not contiguous.
+        wrong = np.asfortranarray(floats(t_count * p_count).reshape(t_count, p_count))
+        text = "".join(cli._surface_csv(ts, ps, values, wrong))
+        assert text == surface_csv_reference(ts, ps, values, wrong)
 
 
 def surface_csv_reference(ts, ps, values, wrong):

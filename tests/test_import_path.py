@@ -3,7 +3,8 @@
 scipy is never loaded: the static-noise quadrature weights its nodes by the
 bare von Mises kernel, so no Bessel function is evaluated.
 ``numpy.polynomial`` is not imported at all: the static-noise quadrature
-builds its Gauss–Legendre rules itself.
+builds its Gauss–Legendre rules itself.  orjson, the scan's CSV cell
+formatter, is loaded by ``scan`` only.
 """
 
 import json
@@ -21,6 +22,12 @@ from qwrouter.cli import main
 SRC = str(Path(qwrouter.__file__).resolve().parents[1])
 VONMISES_ARGS = ["noise", "vonmises", "--n", "20", "--phi", "4.712", "--k", "12.5",
                  "--t-max", "18.55", "--t-steps", "3"]
+
+
+# Runs the CLI with the arguments after ``-c``, then prints whether orjson was loaded.
+PROBE_ORJSON = ("import runpy, sys; sys.argv = ['qwrouter', *sys.argv[1:]]\n"
+                "try:\n    runpy.run_module('qwrouter.cli', run_name='__main__')\n"
+                "finally:\n    print('orjson' in sys.modules)")
 
 
 def run_fresh(args: list[str]) -> subprocess.CompletedProcess:
@@ -54,3 +61,19 @@ def test_vonmises_never_loads_scipy():
     assert in_process.exit_code == 0
     assert "\n".join(rows) + "\n" == in_process.stdout
     assert len(rows) == 1 + 3
+
+
+@pytest.mark.parametrize("args, loads", [
+    (["-c", "import sys, qwrouter; print('orjson' in sys.modules)"], False),
+    (["-c", "import sys, qwrouter.cli; print('orjson' in sys.modules)"], False),
+    (["-c", PROBE_ORJSON, "table1", "--row", "20"], False),
+    (["-c", PROBE_ORJSON, *VONMISES_ARGS], False),
+    (["-c", PROBE_ORJSON, "noise", "ou", "--n", "5", "--trajectories", "4", "--t-max", "0.1",
+      "--t-steps", "3"], False),
+    (["-c", PROBE_ORJSON, "scan", "phase", "--n", "5", "--t-steps", "3", "--param-steps", "2"],
+     True),
+], ids=["import", "import-cli", "table1", "vonmises", "ou", "scan"])
+def test_only_scan_loads_orjson(args, loads):
+    result = run_fresh(args)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().split("\n")[-1] == str(loads)

@@ -622,3 +622,19 @@ class TestTrajectoryBlocks:
         small, large = peak(1024), peak(4096)
         table_growth = 8 * (4096 - 1024) * 6
         assert large - small <= table_growth + 16_384
+
+    def test_one_block_of_paths_is_live_at_a_time(self, monkeypatch):
+        # Three blocks of 128 trajectories x 1000 steps: one block's paths are 1 MB, and
+        # its other scratch (states, one step's propagators, the harmonics) about 0.2 MB.
+        monkeypatch.setattr(noise, "_TRAJECTORY_BLOCK", 128)
+        trajectories, steps, snapshots = 3 * 128, 1000, 6
+        tracemalloc.start()
+        try:
+            ou_fidelity_curve(PEAK, input_state(SP), target_state(SP),
+                              OUSpec(trajectories=trajectories), t_max=steps * 0.01,
+                              snapshots=snapshots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table, paths = 8 * snapshots * trajectories, 8 * 128 * steps
+        assert peak <= table + paths + paths // 2

@@ -29,7 +29,7 @@ from qwrouter import (
 )
 from qwrouter import routing, search
 from qwrouter.cli import TABLE1_ROWS
-from qwrouter.routing import _TRANSFER, _chart, u_element_curve
+from qwrouter.routing import _TRANSFER, _axes, u_element_curve
 
 TWO_PI = 2.0 * np.pi
 RNG = np.random.default_rng(20240814)
@@ -370,8 +370,14 @@ def min_fidelity_loop_reference(params, t, grid):
 # Gram matrix from cancelling.
 def former_grid(u, grid):
     """The former ``_grid_from_elements``: the fidelity grid of ``u = (U41, U42, U31,
-    U32)``, one element of ``u`` at a time against the whole chart."""
-    c = _chart(grid)[0]
+    U32)``, one element of ``u`` at a time against the whole chart, as the former
+    ``_chart`` built it."""
+    alphas = grid.alphas()[:, None]
+    gammas = np.sqrt(np.clip(1.0 - alphas**2, 0.0, None))
+    phases = np.exp(1j * grid.chis())
+    cross = alphas * gammas
+    c = np.stack(np.broadcast_arrays(alphas**2, cross * phases, cross * phases.conj(),
+                                     gammas**2))
     u41, u42, u31, u32 = u
     overlap = u41 * c[0] + u42 * c[1] + u31 * c[2] + u32 * c[3]
     return np.clip(np.abs(overlap) ** 2, 0.0, 1.0)
@@ -446,7 +452,7 @@ class TestAgainstFormerLoops:
                 assert abs(got - scalar) <= 1e-15
                 # A scalar time keeps the former summation bit for bit.
                 u = u_element_curve(params, t, *_TRANSFER)
-                former = float((_chart(grid)[1] * np.outer(u, u.conj())).sum().real)
+                former = float((_axes(grid)[4] * np.outer(u, u.conj())).sum().real)
                 assert scalar == min(max(former, 0.0), 1.0)
             np.testing.assert_array_equal(
                 average_fidelity(params, ts.reshape(1, 17), grid)[0], curve)
@@ -458,6 +464,23 @@ class TestAgainstFormerLoops:
 
         monkeypatch.setattr(routing, "_grid_fidelity", no_grid)
         got = average_fidelity(RouterParams(20, 1.0, 4.712), 18.55)
+        assert got == pytest.approx(0.993, abs=0.01)
+
+    def test_average_keeps_only_the_axes(self):
+        # This grid's chart is 26 MB (four complex coefficients a point); the cached
+        # axes and Gram matrix are about 32 kB.
+        grid = SuperpositionGrid(401, 1024)
+        params = RouterParams(20, 1.0, 4.712)
+        average_fidelity(params, 18.55)  # caches the spectrum
+        _axes.cache_clear()
+        tracemalloc.start()
+        try:
+            got = average_fidelity(params, 18.55, grid)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak > 26 * 2**20  # the chart was built, for G only
+        assert retained < 2**17
         assert got == pytest.approx(0.993, abs=0.01)
 
     @pytest.mark.parametrize("grid", REFERENCE_GRIDS[:1] + REFERENCE_GRIDS[3:], ids=repr)
@@ -497,7 +520,7 @@ class TestAgainstFormerLoops:
             monkeypatch.setattr(SuperpositionGrid, name,
                                 lambda self, real=real: reads.append(1) or real(self))
         surface = scan(params, scan_grid, "worst_case", grid)
-        assert len(reads) <= 4  # _chart and _screen, once per grid, not once per cell
+        assert len(reads) <= 2  # _axes, once per grid, not once per cell
         monkeypatch.undo()
 
         # The 30 cells descend in lockstep, and each lands where the former _min_at,
