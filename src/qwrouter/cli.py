@@ -98,35 +98,40 @@ def _surface_csv(ts: np.ndarray, ps: np.ndarray, values: np.ndarray,
     ``t`` holding that row's cells, one line each, t-major.
 
     Every cell is ``_fmt`` of its float64 value, byte for byte.  The ``t`` and
-    ``param`` texts are ``repr``; the ``fidelity`` and ``p_wrong`` cells of a row
-    come from one ``orjson`` dump each (``_row_cells``).  Only the surface arrays
-    and one row of text are resident.
-    """
-    cols = [f",{p!r}," for p in ps.tolist()]
-    yield "t,param,fidelity,p_wrong\n"
-    for t, row, wrow in zip(ts.tolist(), values, wrong):
-        prefix = repr(t)
-        yield "".join([f"{prefix}{c}{f},{w}\n" for c, f, w in
-                       zip(cols, _row_cells(row), _row_cells(wrow))])
-
-
-def _row_cells(row: np.ndarray) -> list[str]:
-    """``_fmt`` of every cell of the 1-D ``row``, from one ``orjson`` dump.
-
-    orjson writes the shortest round-trip digits, as ``repr`` does, and in the
-    same notation at 0 and at ``1e-4 <= |x| < 1e16``.  Outside that range it
-    differs (``1e-7`` for ``1e-07``, ``1e16`` for ``1e+16``, positional digits
-    below 1e-4, ``null`` for nan and inf), so those cells take ``_fmt``.
+    ``param`` texts are ``repr``.  A row's ``fidelity`` and ``p_wrong`` cells are
+    interleaved in one buffer and come from one ``orjson`` dump; orjson writes
+    the shortest round-trip digits, as ``repr`` does, and in the same notation at
+    0 and at ``1e-4 <= |x| < 1e16``.  Outside that range it differs (``1e-7`` for
+    ``1e-07``, ``1e16`` for ``1e+16``, positional digits below 1e-4, ``null`` for
+    nan and inf), so those cells take ``_fmt``.  Each row is one ``str.join`` of a
+    list that holds the line pieces ``,param,``, fidelity, ``,``, p_wrong and
+    ``\\n`` plus the next line's ``t``.  Only the surface arrays and one row of
+    text are resident.
     """
     import orjson  # only the scan writes surfaces: no other command loads it
 
-    row = np.ascontiguousarray(row, dtype=np.float64)  # orjson takes C-contiguous arrays only
-    cells = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    magnitude = np.abs(row)
-    outside = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (row != 0.0)
-    for k in np.flatnonzero(outside).tolist():
-        cells[k] = _fmt(row[k])
-    return cells
+    yield "t,param,fidelity,p_wrong\n"
+    size = ps.size
+    buf = np.empty(2 * size)  # C-contiguous float64: the only arrays orjson dumps
+    parts = [""] * (5 * size + 1)
+    parts[1::5] = [f",{p!r}," for p in ps.tolist()]
+    parts[3::5] = [","] * size
+    parts[-1] = "\n"
+    for t, row, wrow in zip(ts.tolist(), values, wrong):
+        buf[0::2] = row
+        buf[1::2] = wrow
+        cells = orjson.dumps(buf, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        magnitude = np.abs(buf)
+        outside = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (buf != 0.0)
+        fixed = np.flatnonzero(outside)
+        for k, x in zip(fixed.tolist(), buf[fixed].tolist()):
+            cells[k] = _fmt(x)
+        prefix = repr(t)
+        parts[0] = prefix
+        parts[2::5] = cells[0::2]
+        parts[4::5] = cells[1::2]
+        parts[5:-1:5] = ["\n" + prefix] * (size - 1)
+        yield "".join(parts)
 
 
 def _emit(chunks: Iterable[str], output: str | None) -> None:
@@ -453,7 +458,7 @@ def optimize_cmd(objective, kind, n, beta, phi, t0, param0, t_min, t_max,
     if param_max is None:
         param_max = TWO_PI if kind == "phase" else 40.0
     statistic = _STATISTICS[objective]
-    result = refine(lambda t, p: statistic([_with_param(params, kind, p)], t, sp_grid)[0],
+    result = refine(lambda t, p: statistic(_with_param(params, kind, p), t, sp_grid),
                     (t0, param0), ((t_min, t_max), (param_min, param_max)))
     payload = {
         "objective": objective,

@@ -195,17 +195,28 @@ def build_full_hamiltonian(
     return HermitianMatrix(h)
 
 
-def reduced_hamiltonians(n: int, beta: float, phis) -> np.ndarray:
-    """Six-dimensional Hamiltonians over the reduced basis, one per phase.
+def reduced_hamiltonians(n: int, beta, phis) -> np.ndarray:
+    """Six-dimensional Hamiltonians over the reduced basis, one per ``(beta, phi)`` pair.
 
-    Returns shape ``(len(phis), 6, 6)``.  Reduced-basis labels 1..6 map to
-    row/column indices 0..5.  Nonzero elements (upper triangle): (1,2)=1,
-    (2,3)=beta*exp(-i*phi), (2,5)=(3,5)=sqrt(n-1), (3,4)=1, (5,6)=1, and the
-    diagonal element (5,5)=n-2; the lower triangle is the conjugate mirror.
+    ``beta`` and ``phis`` are each a scalar or a 1-d array; they broadcast to
+    one length ``m`` (1 when both are scalars), and the result has shape
+    ``(m, 6, 6)``.  Any other shape raises ``ValueError``.  Reduced-basis labels
+    1..6 map to row/column indices 0..5.  Nonzero elements (upper triangle):
+    (1,2)=1, (2,3)=beta*exp(-i*phi), (2,5)=(3,5)=sqrt(n-1), (3,4)=1, (5,6)=1,
+    and the diagonal element (5,5)=n-2; the lower triangle is the conjugate
+    mirror.
     """
+    beta = np.asarray(beta, dtype=float)
     phis = np.asarray(phis, dtype=float)
+    if beta.ndim > 1 or phis.ndim > 1:
+        raise ValueError("beta and phis must each be a scalar or a 1-d array")
+    try:
+        (m,) = np.broadcast_shapes(beta.shape, phis.shape, (1,))
+    except ValueError:
+        raise ValueError(f"beta and phis have different lengths: {beta.size} and {phis.size}"
+                         ) from None
     s = math.sqrt(n - 1.0)
-    h = np.zeros((phis.shape[0], 6, 6), dtype=complex)
+    h = np.zeros((m, 6, 6), dtype=complex)
     for i, j, value in ((0, 1, 1.0), (1, 4, s), (2, 4, s), (2, 3, 1.0), (4, 5, 1.0)):
         h[:, i, j] = h[:, j, i] = value
     # The phased pair is written as its two entries of ``upper + upper^H`` so

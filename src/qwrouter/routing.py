@@ -290,6 +290,13 @@ def average_fidelity(
     g = _axes(grid)[4]
     if u.ndim == 1:
         return _clamp01(float((g * np.outer(u, u.conj())).sum().real))
+    return _mean_fidelity(u, g)
+
+
+def _mean_fidelity(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``u^T G conj(u)`` clipped to [0, 1], elementwise over the transfer elements
+    ``u = (U41, U42, U31, U32)`` of shape ``(4, ...)``; a cell has the same bits
+    whatever the shape it stands in."""
     return np.clip(np.einsum("kl,k...,l...->...", g, u, u.conj()).real, 0.0, 1.0)
 
 

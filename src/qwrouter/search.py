@@ -8,14 +8,17 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import RouterParams
+from .dynamics import _checked_times
+from .hamiltonian import TWO_PI, RouterParams, reduced_hamiltonians
 from .routing import (
     _TRANSFER,
     SuperpositionGrid,
+    _axes,
+    _mean_fidelity,
     _worst_case,
     average_fidelity,
+    min_fidelity,
     transition_probability,
-    u_element_curve,
 )
 
 __all__ = [
@@ -29,30 +32,19 @@ __all__ = [
 ]
 
 _KINDS = ("phase", "weight")
-# Objective name -> (columns, t, grid) -> fidelities of shape t.shape + (len(columns),), for
-# a list of column RouterParams.  The lambdas look the statistics up when called, so
-# wrappers rebound on this module's names see every call.  The worst case descends all
-# cells of all columns together, in one ``_worst_case`` call.
+# Objective name -> (params, t, grid) -> the fidelity at one scalar time.  The lambdas look
+# the statistics up when called, so wrappers rebound on this module's names see every call.
+# ``scan`` takes the objectives by name in its column kernel (``_surface``), with the same bits.
 _STATISTICS = {
-    "localized": lambda columns, t, grid: _column_stack(
-        columns, lambda p: transition_probability(p, t, 1, 4)),
-    "average": lambda columns, t, grid: _column_stack(
-        columns, lambda p: average_fidelity(p, t, grid)),
-    "worst_case": lambda columns, t, grid: _worst_case(
-        _column_stack(columns, lambda p: u_element_curve(p, t, *_TRANSFER)),
-        SuperpositionGrid() if grid is None else grid, True),
+    "localized": lambda params, t, grid: transition_probability(params, t, 1, 4),
+    "average": lambda params, t, grid: average_fidelity(params, t, grid),
+    "worst_case": lambda params, t, grid: min_fidelity(params, t, grid),
 }
-
-
-def _column_stack(columns: list[RouterParams], result: Callable) -> np.ndarray:
-    """``result(p)`` for each column's ``p``, stacked on a new last axis as each arrives,
-    so no list of column results is held beside the stack."""
-    first = np.asarray(result(columns[0]))
-    out = np.empty(first.shape + (len(columns),), first.dtype)
-    out[..., 0] = first
-    for j, p in enumerate(columns[1:], 1):
-        out[..., j] = result(p)
-    return out
+# ``_surface`` takes as many columns at once as fit in _PHASE_BYTES of phase tensor
+# ``exp(-i w t)`` (16 bytes an eigenvalue and a time; at least one column): 5 at 501 times.
+# Chunks of 5 to 21 columns took about the same time there, and only the smallest kept a
+# scan's peak resident memory at that of a column-by-column loop.
+_PHASE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -157,18 +149,69 @@ def scan(
 
     ``localized`` evaluates the input-to-target transition probability,
     ``average`` the mean and ``worst_case`` the minimum superposition
-    fidelity.  The objective takes one call for the whole surface, which makes
-    one spectral read per parameter column, and ``P16`` one call per column, so
-    one spectral decomposition serves each column.
+    fidelity.  Each cell has the bits that ``transition_probability``,
+    ``average_fidelity`` or ``min_fidelity`` give at its router and time; the
+    surface comes from the column kernel ``_surface``, which decomposes a chunk
+    of parameter columns at once.
     """
     if objective not in _STATISTICS:
         raise ValueError(f"objective must be one of {tuple(_STATISTICS)}")
     ts = grid.t_values()
     ps = grid.param_values()
-    columns = [_with_param(params_base, grid.param_kind, p) for p in ps.tolist()]
-    values = _STATISTICS[objective](columns, ts, sp_grid)
-    wrong = _column_stack(columns, lambda p: transition_probability(p, ts, 1, 6))
+    if grid.param_kind == "phase":
+        betas, phis = params_base.beta, ps
+    else:
+        betas, phis = ps, params_base.phi
+    # Each column's phase is reduced as RouterParams reduces it, so a base phase of 2 pi
+    # (the reduction of a tiny negative one) reduces again, to 0.
+    betas, phis = np.broadcast_arrays(betas, phis % TWO_PI)
+    values, wrong = _surface(params_base.n_outputs, betas, phis, ts, objective,
+                             SuperpositionGrid() if sp_grid is None else sp_grid)
     return ScanSurface(values, ts, ps, grid.param_kind, wrong)
+
+
+def _surface(n: int, betas: np.ndarray, phis: np.ndarray, ts: np.ndarray, objective: str,
+             sp_grid: SuperpositionGrid) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, wrong)`` of shape ``(len(ts), C)`` over the C columns of routers
+    ``(n, betas[j], phis[j])`` (1-d arrays of one length): the ``objective`` and
+    ``P16`` at each time of ``ts``.
+
+    Each chunk of columns (``_PHASE_BYTES``) takes one batched ``np.linalg.eigh``
+    and one phase tensor ``exp(-i w t)``, which every element it reads shares.
+    Each element is a product with the tensor taken one row of ``U`` at a time, or
+    the four transfer elements together, so it rounds as ``u_element_curve``
+    rounds it; two rows at once would not.  ``localized`` and ``average`` reduce
+    each chunk to fidelities at once; ``worst_case`` stacks the transfer elements
+    of all cells and descends them in one ``_worst_case`` call.  A time whose
+    phase ``w t`` overflows raises ``ValueError``.
+    """
+    values = np.empty((ts.size, betas.size))
+    wrong = np.empty((ts.size, betas.size))
+    transfer = np.empty((4,) + values.shape, complex) if objective == "worst_case" else None
+    chunk = max(1, _PHASE_BYTES // (96 * ts.size))
+    for lo in range(0, betas.size, chunk):
+        cols = slice(lo, lo + chunk)
+        w, q = np.linalg.eigh(reduced_hamiltonians(n, betas[cols], phis[cols]))
+        phases = np.exp(-1j * (w[:, :, None] * _checked_times(ts, w)))
+        wrong[:, cols] = _probability(q, phases, 5).T
+        if objective == "localized":
+            values[:, cols] = _probability(q, phases, 3).T
+            continue
+        u = (q[:, _TRANSFER[0]] * np.conj(q[:, _TRANSFER[1]])) @ phases
+        if objective == "average":
+            values[:, cols] = _mean_fidelity(u.transpose(1, 0, 2), _axes(sp_grid)[4]).T
+        else:
+            transfer[:, :, cols] = u.transpose(1, 2, 0)
+    if transfer is not None:
+        values = _worst_case(transfer, sp_grid, True)
+    return values, wrong
+
+
+def _probability(q: np.ndarray, phases: np.ndarray, row: int) -> np.ndarray:
+    """``|U[row, 0]|^2`` clipped to [0, 1], shape ``(C, T)``, from a chunk's eigenvectors
+    ``q`` and phase tensor (``_surface``), as ``transition_probability`` rounds it."""
+    u = (q[:, [row]] * np.conj(q[:, [0]])) @ phases
+    return np.clip(np.abs(u[:, 0]) ** 2, 0.0, 1.0)
 
 
 def _run_width(vals: np.ndarray, idx: int, threshold: float, spacing: float) -> float:

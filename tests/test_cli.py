@@ -158,6 +158,43 @@ class TestScanCommand:
         text = "".join(cli._surface_csv(ts, ps, values, wrong))
         assert text == surface_csv_reference(ts, ps, values, wrong)
 
+    def test_writer_matches_former_cell_loop_on_one_column(self):
+        ts, ps = np.array([0.0, 0.5, 1e-5]), np.array([3.25])
+        values, wrong = np.array([[0.25], [1e-9], [-0.0]]), np.array([[1e20], [0.5], [0.125]])
+        text = "".join(cli._surface_csv(ts, ps, values, wrong))
+        assert text == surface_csv_reference(ts, ps, values, wrong)
+        assert text.count("\n") == 1 + 3
+
+    def test_writer_matches_former_cell_loop_where_every_cell_takes_repr(self):
+        # No cell of these rows is 0 or in [1e-4, 1e16), where orjson writes repr's digits.
+        rng = np.random.default_rng(5)
+        ts, ps = np.linspace(0.0, 2.0, 4), np.linspace(1.0, 3.0, 7)
+        values = rng.uniform(1e-12, 9e-5, (4, 7)) * rng.choice([-1.0, 1.0], (4, 7))
+        wrong = np.where(rng.random((4, 7)) < 0.5, rng.uniform(1e16, 1e300, (4, 7)), np.nan)
+        wrong[1] = np.array(EDGE_FLOATS)[[2, 3, 4, 7, 10, 12, 13]]
+        text = "".join(cli._surface_csv(ts, ps, values, wrong))
+        assert text == surface_csv_reference(ts, ps, values, wrong)
+
+    def test_writer_matches_former_cell_loop_below_1e_4(self, runner, monkeypatch):
+        # The t and param texts below 1e-4 and the cells at their first row and column.
+        args = ["scan", "phase", "--n", "20", "--t-min", "1e-5", "--t-max", "2",
+                "--t-steps", "4", "--param-min", "1e-6", "--param-max", "0.5",
+                "--param-steps", "3"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output.split("\n")[1].startswith("1e-05,1e-06,")
+        monkeypatch.setattr(cli, "_surface_csv", lambda *a: [surface_csv_reference(*a)])
+        assert runner.invoke(main, args).output == result.output
+
+    def test_writer_yields_the_header_then_one_chunk_per_t_row(self):
+        ts, ps = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 3)
+        values, wrong = np.full((5, 3), 0.5), np.full((5, 3), 0.25)
+        chunks = list(cli._surface_csv(ts, ps, values, wrong))
+        assert chunks[0] == "t,param,fidelity,p_wrong\n"
+        assert len(chunks) == 1 + 5
+        for t, chunk in zip(ts.tolist(), chunks[1:]):
+            assert chunk == "".join(f"{t!r},{p!r},0.5,0.25\n" for p in ps.tolist())
+
 
 def surface_csv_reference(ts, ps, values, wrong):
     """The former scan writer: ``repr(float(x))`` of every numpy cell."""

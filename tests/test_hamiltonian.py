@@ -212,6 +212,46 @@ def test_reduced_hamiltonians_match_single_builder_bitwise(n, beta, phis):
         assert stack[k].tobytes() == single.tobytes() == reference.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=10**6),
+    pairs=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, -0.0, 1.0]) | st.floats(min_value=-40.0, max_value=40.0),
+            st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True),
+        ),
+        min_size=1, max_size=5,
+    ),
+)
+def test_mixed_stacks_match_single_builder_bitwise(n, pairs):
+    # Scalar or 1-d weights and phases, in every combination a scan or a caller makes.
+    betas, phis = (np.array(x) for x in zip(*pairs))
+    beta0, phi0 = pairs[0]
+    stacks = [
+        (reduced_hamiltonians(n, betas, phis), pairs),
+        (reduced_hamiltonians(n, beta0, phis), [(beta0, p) for p in phis.tolist()]),
+        (reduced_hamiltonians(n, betas, phi0), [(b, phi0) for b in betas.tolist()]),
+        (reduced_hamiltonians(n, betas[:1], phis), [(beta0, p) for p in phis.tolist()]),
+        (reduced_hamiltonians(n, betas, phis[:1]), [(b, phi0) for b in betas.tolist()]),
+        (reduced_hamiltonians(n, beta0, phi0), [(beta0, phi0)]),
+    ]
+    for stack, expected in stacks:
+        assert stack.shape == (len(expected), 6, 6)
+        for matrix, (beta, phi) in zip(stack, expected):
+            single = build_reduced_hamiltonian(RouterParams(n, beta, phi)).entries
+            assert matrix.tobytes() == single.tobytes()  # same bits, signed zeros included
+
+
+@pytest.mark.parametrize("beta, phis", [
+    (np.ones((2, 2)), 0.5),
+    (1.0, np.zeros((3, 1))),
+    (np.ones(3), np.zeros(4)),
+])
+def test_reduced_hamiltonians_reject_other_shapes(beta, phis):
+    with pytest.raises(ValueError, match="beta and phis"):
+        reduced_hamiltonians(20, beta, phis)
+
+
 def test_package_exports():
     """The package re-exports every module's public names, and loses none.
 

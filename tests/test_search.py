@@ -1,8 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwrouter import (
     PeakReport,
@@ -17,6 +21,9 @@ from qwrouter import (
     scan,
     transition_probability,
 )
+from qwrouter import routing, search
+from qwrouter.cli import main
+from qwrouter.routing import _TRANSFER, _worst_case, u_element_curve
 
 
 def synthetic_surface(values, param_kind="phase"):
@@ -178,28 +185,40 @@ class TestScan:
                 for i, t in enumerate(surface.t_values.tolist()):
                     assert abs(surface.values[i, j] - min_fidelity(params, t, sp)) <= 1e-15
 
-    def test_statistics_are_looked_up_when_called(self, monkeypatch):
-        # Wrappers bound to the module's names, as a tracer installs, see the scan's calls:
-        # one statistic call per column, or one worst case for the whole surface.
-        from qwrouter import search
-
+    def test_scan_decomposes_each_chunk_of_columns_once(self, monkeypatch):
+        # A scan of C columns makes ceil(C / chunk) batched eigh calls and no call of a
+        # per-column statistic, nor of the spectrum reader behind them.
         calls = []
-        for name in ("transition_probability", "average_fidelity", "u_element_curve",
-                     "_worst_case"):
-            real = getattr(search, name)
-            monkeypatch.setattr(search, name, lambda *args, name=name, real=real:
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(("eigh", np.shape(a))) or real_eigh(a))
+        for module, name in ((search, "transition_probability"), (search, "average_fidelity"),
+                             (search, "min_fidelity"), (routing, "u_element_curve"),
+                             (routing, "_spectrum")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, real=real:
                                 calls.append(name) or real(*args))
-        grid = ScanGrid((0.0, 1.0, 3), (0.0, 1.0, 4), "phase")
-        expected = {
-            "localized": ["transition_probability"] * 8,
-            "average": ["average_fidelity"] * 4 + ["transition_probability"] * 4,
-            "worst_case": ["u_element_curve"] * 4 + ["_worst_case"]
-            + ["transition_probability"] * 4,
-        }
-        for objective, names in expected.items():
+        monkeypatch.setattr(search, "_PHASE_BYTES", 96 * 3 * 4)  # 3 times: 4 columns a chunk
+        grid = ScanGrid((0.0, 1.0, 3), (0.0, 1.0, 10), "phase")
+        for objective in ("localized", "average", "worst_case"):
             calls.clear()
             scan(RouterParams(8, 1.0, 0.0), grid, objective, SuperpositionGrid(3, 4))
-            assert calls == names
+            assert calls == [("eigh", (4, 6, 6)), ("eigh", (4, 6, 6)), ("eigh", (2, 6, 6))]
+
+    @pytest.mark.parametrize("objective", ["localized", "average", "worst_case"])
+    def test_optimize_looks_its_statistic_up_when_called(self, monkeypatch, objective):
+        # Wrappers bound to the module's names, as a tracer installs, see every evaluation.
+        name = {"localized": "transition_probability", "average": "average_fidelity",
+                "worst_case": "min_fidelity"}[objective]
+        calls = []
+        real = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *args: calls.append(args) or real(*args))
+        result = CliRunner().invoke(main, ["optimize", "--n", "20", "--t0", "18.4",
+                                           "--param0", "4.7", "--objective", objective,
+                                           "--alpha-points", "5", "--chi-points", "8"])
+        assert result.exit_code == 0
+        assert len(calls) == json.loads(result.output)["evaluations"] > 0
+        assert all(np.ndim(args[1]) == 0 for args in calls)
 
     def test_wrong_matches_cells_for_every_objective(self):
         base = RouterParams(12, 0.8, 0.0)
@@ -222,6 +241,108 @@ class TestScan:
         grid = ScanGrid((0.0, 1.0, 2), (0.0, 1.0, 2), "phase")
         with pytest.raises(ValueError):
             scan(base, grid, objective="median")
+
+
+def former_scan(base, grid, objective, sp_grid):
+    """The former per-column scan: ``(values, wrong)`` from one statistic call per
+    column and one ``P16`` call per column, stacked on the last axis."""
+    ts = grid.t_values()
+    columns = [search._with_param(base, grid.param_kind, p) for p in grid.param_values().tolist()]
+    sp = SuperpositionGrid() if sp_grid is None else sp_grid
+    wrong = np.stack([transition_probability(p, ts, 1, 6) for p in columns], axis=-1)
+    if objective == "localized":
+        values = np.stack([transition_probability(p, ts, 1, 4) for p in columns], axis=-1)
+    elif objective == "average":
+        values = np.stack([average_fidelity(p, ts, sp) for p in columns], axis=-1)
+    else:
+        values = _worst_case(
+            np.stack([u_element_curve(p, ts, *_TRANSFER) for p in columns], axis=-1), sp, True)
+    return values, wrong
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+CHUNK = 3  # columns a chunk, with _PHASE_BYTES patched for the grid's times
+
+
+class TestColumnKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 10**6),
+        kind=st.sampled_from(["phase", "weight"]),
+        fixed=st.floats(-40.0, 40.0),
+        lo=st.floats(-40.0, 40.0),
+        width=st.floats(1e-3, 40.0),
+        columns=st.sampled_from([CHUNK - 1, CHUNK + 1, 3 * CHUNK + 2]),
+        t_lo=st.floats(0.0, 30.0),
+        t_steps=st.integers(2, 6),
+        objective=st.sampled_from(["localized", "average", "worst_case"]),
+        sp_grid=st.sampled_from([None, SuperpositionGrid(5, 8, "haar")]),
+    )
+    def test_scan_matches_former_column_loop(self, n, kind, fixed, lo, width, columns, t_lo,
+                                             t_steps, objective, sp_grid):
+        base = (RouterParams(n, fixed, 0.7) if kind == "phase" else RouterParams(n, 0.9, fixed))
+        grid = ScanGrid((t_lo, t_lo + 25.0, t_steps), (lo, lo + width, columns), kind)
+        if objective == "worst_case" and sp_grid is None:
+            sp_grid = SuperpositionGrid(9, 12)  # the default grid's descent is slow for a test
+        values, wrong = former_scan(base, grid, objective, sp_grid)
+        for chunk_bytes in (96 * t_steps * CHUNK, search._PHASE_BYTES):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(search, "_PHASE_BYTES", chunk_bytes)
+                surface = scan(base, grid, objective, sp_grid)
+            assert same_bits(surface.values, values)
+            assert same_bits(surface.wrong, wrong)
+
+    @pytest.mark.parametrize("objective", ["localized", "average", "worst_case"])
+    def test_one_column_matches_former_column_loop(self, objective):
+        ts = np.linspace(0.0, 40.0, 7)
+        params = RouterParams(20, 1.3, 4.7)
+        sp = SuperpositionGrid(5, 8)
+        values, wrong = search._surface(20, np.array([1.3]), np.array([params.phi]), ts,
+                                        objective, sp)
+        if objective == "localized":
+            expected = transition_probability(params, ts, 1, 4)
+        elif objective == "average":
+            expected = average_fidelity(params, ts, sp)
+        else:
+            expected = min_fidelity(params, ts, sp)
+        assert same_bits(values, expected[:, None])
+        assert same_bits(wrong, transition_probability(params, ts, 1, 6)[:, None])
+
+    def test_overflow_in_a_later_chunk_raises_before_any_output(self, monkeypatch, tmp_path):
+        # Only the largest weights overflow w t: the first chunks are finite.
+        monkeypatch.setattr(search, "_PHASE_BYTES", 96 * 3 * CHUNK)
+        grid = ScanGrid((0.0, 5e305, 3), (0.0, 1000.0, 11), "weight")
+        with pytest.raises(ValueError, match="the phases w t overflow"):
+            scan(RouterParams(5), grid)
+        target = tmp_path / "surface.csv"
+        result = CliRunner().invoke(main, ["scan", "weight", "--n", "5", "--t-max", "5e305",
+                                           "--t-steps", "3", "--param-max", "1000",
+                                           "--param-steps", "11", "--output", str(target)])
+        assert result.exit_code == 2
+        assert "the phases w t overflow" in result.output
+        assert not target.exists()
+
+    @pytest.mark.parametrize("objective", ["localized", "average"])
+    def test_scratch_does_not_grow_with_columns(self, objective):
+        ts = np.linspace(0.0, 50.0, 201)  # 13 columns a chunk
+
+        def peak(columns):
+            betas, phis = np.full(columns, 1.0), np.linspace(0.0, 6.0, columns)
+            tracemalloc.start()
+            try:
+                search._surface(20, betas, phis, ts, objective, SuperpositionGrid(5, 8))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(120), peak(960)
+        # Beyond the (len(ts), C) values and wrong arrays, at most 64 kB more.
+        assert large - small <= 2 * 8 * ts.size * (960 - 120) + 2**16
+        assert large - 2 * 8 * ts.size * 960 < 6 * 2**20
 
 
 class TestScanSurface:
