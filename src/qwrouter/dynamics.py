@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hamiltonian
-from .hamiltonian import TWO_PI, HermitianMatrix, RouterParams
+from .hamiltonian import TWO_PI, HermitianMatrix, RouterParams, _read_only
 
 __all__ = ["PureState", "Propagator", "propagator", "evolve", "verify_reduction"]
 
@@ -35,9 +35,7 @@ class PureState:
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm_sq - 1.0) <= _HERMITICITY_TOL:  # a NaN amplitude fails too
             raise ValueError(f"state norm^2 = {norm_sq!r} is not 1 within 1e-10")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _read_only(amps.copy()))
 
     @property
     def dim(self) -> int:
@@ -58,9 +56,7 @@ class Propagator:
         defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
         if not defect <= _UNITARITY_TOL:  # a NaN entry fails too
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "matrix", u)
+        object.__setattr__(self, "matrix", _read_only(u.copy()))
         object.__setattr__(self, "time", float(self.time))
 
     @property

@@ -44,6 +44,12 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """``x``, made read-only in place: the arrays of a frozen value or a cache entry."""
+    x.setflags(write=False)
+    return x
+
+
 def _check_n_outputs(n) -> None:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise TypeError("n_outputs must be an integer")
@@ -103,9 +109,7 @@ class HermitianMatrix:
             raise ValueError("entries must be a square matrix")
         if not np.array_equal(entries, entries.conj().T):
             raise ValueError("matrix is not exactly conjugate-symmetric")
-        entries = entries.copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _read_only(entries.copy()))
 
     @property
     def dim(self) -> int:

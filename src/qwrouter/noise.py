@@ -57,7 +57,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .dynamics import PureState, _evolved, _unitaries
-from .hamiltonian import TWO_PI, RouterParams, reduced_hamiltonians
+from .hamiltonian import TWO_PI, RouterParams, _read_only, reduced_hamiltonians
 from .routing import (
     DensityMatrix,
     SuperpositionParams,
@@ -110,7 +110,8 @@ class OUSpec:
 
     ``mu = None`` means "use the router's configured phase" wherever a router
     is in scope (ensemble averaging); standalone path sampling requires an
-    explicit ``mu``.  The stationary variance is ``sigma_vol**2 / (2 theta)``.
+    explicit ``mu``.  The stationary variance ``sigma_vol**2 / (2 theta)`` must be
+    finite, and ``theta * dt < 2``, so that the Euler–Maruyama step contracts.
     """
 
     theta: float = 1.0
@@ -136,6 +137,16 @@ class OUSpec:
         object.__setattr__(self, "dt", _positive("dt", self.dt))
         object.__setattr__(self, "trajectories", int(self.trajectories))
         object.__setattr__(self, "seed", seed)
+        if not self.theta * self.dt < 2.0:  # else x + theta dt (mu - x) does not contract
+            raise ValueError(f"theta * dt must be < 2 for the Euler-Maruyama step to contract, "
+                             f"got theta = {self.theta!r}, dt = {self.dt!r}")
+        try:
+            finite = math.isfinite(self.stationary_variance)
+        except OverflowError:  # sigma_vol**2 beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"the stationary variance sigma_vol**2 / (2 theta) must be finite, "
+                             f"got sigma_vol = {self.sigma_vol!r}, theta = {self.theta!r}")
 
     @property
     def stationary_variance(self) -> float:
@@ -179,9 +190,7 @@ class EnsembleState(DensityMatrix):
         states = np.asarray(self.trajectory_states, dtype=complex)
         if states.ndim != 2 or states.shape[1] != self.dim:
             raise ValueError("trajectory_states must have shape (trajectories, dim)")
-        states = states.copy()
-        states.setflags(write=False)
-        object.__setattr__(self, "trajectory_states", states)
+        object.__setattr__(self, "trajectory_states", _read_only(states.copy()))
 
     def fidelity_with_stderr(self, target: PureState) -> tuple[float, float]:
         """Mean fidelity against a pure target and its Monte Carlo standard error."""
@@ -259,10 +268,7 @@ def _nodes_and_weights(k: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _gauss_legendre(points)
     eps = half_width * x
     weights = w * np.exp(k * (np.cos(eps) - 1.0))
-    weights = weights / weights.sum()
-    eps.setflags(write=False)
-    weights.setflags(write=False)
-    return eps, weights
+    return _read_only(eps), _read_only(weights / weights.sum())
 
 
 @lru_cache(maxsize=8)  # one curve uses at most 1 + _MAX_DOUBLINGS = 7 rules
@@ -270,10 +276,8 @@ def _node_spectrum(params: RouterParams, k: float, points: int) -> tuple[np.ndar
     """Read-only ``np.linalg.eigh`` of ``H(phi + eps_p)`` at the nodes ``eps_p`` of the
     ``points``-node rule for concentration ``k`` (``_nodes_and_weights``)."""
     eps = _nodes_and_weights(k, points)[0]
-    w, q = np.linalg.eigh(reduced_hamiltonians(params.n_outputs, params.beta, params.phi + eps))
-    w.setflags(write=False)
-    q.setflags(write=False)
-    return w, q
+    h = reduced_hamiltonians(params.n_outputs, params.beta, params.phi + eps)
+    return tuple(map(_read_only, np.linalg.eigh(h)))
 
 
 def _static_average(params: RouterParams, t: float, amps0: np.ndarray, k: float,

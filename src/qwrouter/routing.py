@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import PureState, _checked_times
-from .hamiltonian import TWO_PI, RouterParams, build_reduced_hamiltonian
+from .hamiltonian import TWO_PI, RouterParams, _read_only, build_reduced_hamiltonian
 
 __all__ = [
     "SuperpositionParams",
@@ -116,9 +116,7 @@ class DensityMatrix:
         min_eig = float(np.linalg.eigvalsh(rho)[0])
         if min_eig < -_DM_TOL:
             raise ValueError(f"negative eigenvalue {min_eig:.3e} beyond tolerance")
-        rho = rho.copy()
-        rho.setflags(write=False)
-        object.__setattr__(self, "entries", rho)
+        object.__setattr__(self, "entries", _read_only(rho.copy()))
 
     @property
     def dim(self) -> int:
@@ -133,28 +131,34 @@ class DensityMatrix:
 @lru_cache(maxsize=512)
 def _spectrum(params: RouterParams) -> tuple[np.ndarray, np.ndarray]:
     """Memoized eigendecomposition of the reduced Hamiltonian."""
-    w, q = np.linalg.eigh(build_reduced_hamiltonian(params).entries)
-    w.setflags(write=False)
-    q.setflags(write=False)
-    return w, q
+    return tuple(map(_read_only, np.linalg.eigh(build_reduced_hamiltonian(params).entries)))
+
+
+def elements(w: np.ndarray, q: np.ndarray, ts, *products) -> list[np.ndarray]:
+    """Propagator elements ``U[rows, cols](t)``, one array per ``(rows, cols)`` of
+    ``products`` (0-based ints or equal-length index lists), from the spectra ``w, q``
+    (``eigh``) of a stack of Hamiltonians of shape ``S + (6, 6)``: shaped ``S +
+    shape(ts)`` for ints, with ``len(rows)`` prepended for lists.
+
+    The phase tensor ``exp(-i w t)`` is formed once, one ``(6, T)`` matrix per router
+    and row of ``ts`` (a scalar time is one column: matvecs), and each product is one
+    ``matmul`` against it: an int's row of ``U`` rounds alone, a list's rows together.
+    A non-finite time or overflowing phase raises ``ValueError``.
+    """
+    ts = _checked_times(ts, w)
+    lead = w.shape[:-1] + (1,) * (ts.ndim - 1)
+    phases = np.exp(-1j * (w.reshape(lead + (6, 1)) * np.atleast_1d(ts)[..., None, :]))
+    out = []
+    for rows, cols in products:
+        u = (q[..., rows, :] * np.conj(q[..., cols, :])).reshape(lead + (-1, 6)) @ phases
+        u = u.transpose((u.ndim - 2, *range(u.ndim - 2), u.ndim - 1))  # rows of U first
+        out.append(u.reshape(np.shape(rows) + w.shape[:-1] + ts.shape))
+    return out
 
 
 def u_element_curve(params: RouterParams, ts, rows, cols) -> np.ndarray:
-    """Propagator elements ``U[rows, cols](t)`` over times ``ts`` (0-based indices).
-
-    ``rows``/``cols`` are ints or equal-length index lists; the result has
-    the shape of ``ts`` for ints and ``(len(rows),) + shape(ts)`` for lists,
-    for ``ts`` of any dimension.  Every routing statistic reads its elements
-    here, so a non-finite time or overflowing phase raises ``ValueError``.
-    """
-    w, q = _spectrum(params)
-    ts = _checked_times(ts, w)
-    coeffs = q[rows] * np.conj(q[cols])
-    if ts.ndim == 0:
-        return coeffs @ np.exp(-1j * (w * ts))
-    # One (6, T) phase matrix per row of ts: every row takes the product a 1-d ts takes.
-    u = coeffs @ np.exp(-1j * (w[:, None] * ts[..., None, :]))
-    return u if coeffs.ndim == 1 else np.moveaxis(u, -2, 0)
+    """``elements`` of one router: every routing statistic reads its elements here."""
+    return elements(*_spectrum(params), ts, (rows, cols))[0]
 
 
 def input_state(p: SuperpositionParams) -> PureState:
@@ -190,10 +194,13 @@ def transition_probability(
 
     A float for a scalar ``t``; an array of the shape of ``t`` for an array of times.
     """
-    row = _check_label(to_label)
-    col = _check_label(from_label)
-    p = np.clip(np.abs(u_element_curve(params, t, row, col)) ** 2, 0.0, 1.0)
+    p = _probability(u_element_curve(params, t, _check_label(to_label), _check_label(from_label)))
     return float(p) if p.ndim == 0 else p
+
+
+def _probability(u: np.ndarray) -> np.ndarray:
+    """``|u|^2`` of propagator elements ``u``, clipped to [0, 1]."""
+    return np.clip(np.abs(u) ** 2, 0.0, 1.0)
 
 
 def per_wrong_output_probability(params: RouterParams, t: float) -> float:
@@ -247,10 +254,7 @@ def _axes(grid: SuperpositionGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     # alphas() always holds 1.0, so the haar weights never sum to zero.
     w = alphas if grid.measure == "haar" else np.ones(grid.alpha_points)
     g = np.einsum("i,kij,lij->kl", w / (w.sum() * grid.chi_points), c, c.conj())
-    arrays = alphas, gammas, chis, phases, g
-    for x in arrays:
-        x.setflags(write=False)
-    return arrays
+    return tuple(map(_read_only, (alphas, gammas, chis, phases, g)))
 
 
 def fidelity_grid(
@@ -397,10 +401,7 @@ def _screen(grid: SuperpositionGrid) -> tuple[np.ndarray, np.ndarray]:
                 weights[a, b, 1, :, 2 * abs(turns)] = -math.copysign(1.0, turns) * r[a] * r[b]
     basis = np.stack([np.ones_like(chis), np.cos(chis), np.sin(chis),
                       np.cos(2.0 * chis), np.sin(2.0 * chis)])
-    arrays = weights.reshape(32, -1), basis
-    for x in arrays:
-        x.setflags(write=False)
-    return arrays
+    return _read_only(weights.reshape(32, -1)), _read_only(basis)
 
 
 def _grid_starts(u: np.ndarray, grid: SuperpositionGrid) -> tuple[np.ndarray, np.ndarray,

@@ -8,15 +8,16 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _checked_times
-from .hamiltonian import TWO_PI, RouterParams, reduced_hamiltonians
+from .hamiltonian import TWO_PI, RouterParams, _read_only, reduced_hamiltonians
 from .routing import (
     _TRANSFER,
     SuperpositionGrid,
     _axes,
     _mean_fidelity,
+    _probability,
     _worst_case,
     average_fidelity,
+    elements,
     min_fidelity,
     transition_probability,
 )
@@ -34,7 +35,6 @@ __all__ = [
 _KINDS = ("phase", "weight")
 # Objective name -> (params, t, grid) -> the fidelity at one scalar time.  The lambdas look
 # the statistics up when called, so wrappers rebound on this module's names see every call.
-# ``scan`` takes the objectives by name in its column kernel (``_surface``), with the same bits.
 _STATISTICS = {
     "localized": lambda params, t, grid: transition_probability(params, t, 1, 4),
     "average": lambda params, t, grid: average_fidelity(params, t, grid),
@@ -64,8 +64,9 @@ class ScanGrid:
         ):
             if int(steps) < 2:
                 raise ValueError(f"{name}: steps must be >= 2")
-            if not (math.isfinite(float(lo)) and math.isfinite(float(hi))):
-                raise ValueError(f"{name}: bounds must be finite")
+            if not math.isfinite(float(hi) - float(lo)):  # linspace steps by the span
+                raise ValueError(f"{name}: bounds and their span max - min must be finite, "
+                                 f"got {lo!r} to {hi!r}")
             if not float(lo) < float(hi):
                 raise ValueError(f"{name}: min must be < max")
 
@@ -106,8 +107,7 @@ class ScanSurface:
             if arrays["wrong"].shape != vals.shape:
                 raise ValueError("wrong must have the shape of values")
         for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(arr))
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,8 @@ def scan(
     ``localized`` evaluates the input-to-target transition probability,
     ``average`` the mean and ``worst_case`` the minimum superposition
     fidelity.  Each cell has the bits that ``transition_probability``,
-    ``average_fidelity`` or ``min_fidelity`` give at its router and time; the
-    surface comes from the column kernel ``_surface``, which decomposes a chunk
-    of parameter columns at once.
+    ``average_fidelity`` or ``min_fidelity`` give at its router and time, from
+    ``_surface``, a chunk of parameter columns at a time.
     """
     if objective not in _STATISTICS:
         raise ValueError(f"objective must be one of {tuple(_STATISTICS)}")
@@ -177,13 +176,10 @@ def _surface(n: int, betas: np.ndarray, phis: np.ndarray, ts: np.ndarray, object
     ``P16`` at each time of ``ts``.
 
     Each chunk of columns (``_PHASE_BYTES``) takes one batched ``np.linalg.eigh``
-    and one phase tensor ``exp(-i w t)``, which every element it reads shares.
-    Each element is a product with the tensor taken one row of ``U`` at a time, or
-    the four transfer elements together, so it rounds as ``u_element_curve``
-    rounds it; two rows at once would not.  ``localized`` and ``average`` reduce
-    each chunk to fidelities at once; ``worst_case`` stacks the transfer elements
-    of all cells and descends them in one ``_worst_case`` call.  A time whose
-    phase ``w t`` overflows raises ``ValueError``.
+    and one ``elements`` call, whose phase tensor serves ``P16`` and the objective's
+    elements alike.  ``localized`` and ``average`` reduce each chunk to fidelities
+    at once; ``worst_case`` stacks the transfer elements of all cells and descends
+    them in one ``_worst_case`` call.
     """
     values = np.empty((ts.size, betas.size))
     wrong = np.empty((ts.size, betas.size))
@@ -192,26 +188,17 @@ def _surface(n: int, betas: np.ndarray, phis: np.ndarray, ts: np.ndarray, object
     for lo in range(0, betas.size, chunk):
         cols = slice(lo, lo + chunk)
         w, q = np.linalg.eigh(reduced_hamiltonians(n, betas[cols], phis[cols]))
-        phases = np.exp(-1j * (w[:, :, None] * _checked_times(ts, w)))
-        wrong[:, cols] = _probability(q, phases, 5).T
+        u16, u = elements(w, q, ts, (5, 0), (3, 0) if objective == "localized" else _TRANSFER)
+        wrong[:, cols] = _probability(u16).T
         if objective == "localized":
-            values[:, cols] = _probability(q, phases, 3).T
-            continue
-        u = (q[:, _TRANSFER[0]] * np.conj(q[:, _TRANSFER[1]])) @ phases
-        if objective == "average":
-            values[:, cols] = _mean_fidelity(u.transpose(1, 0, 2), _axes(sp_grid)[4]).T
+            values[:, cols] = _probability(u).T
+        elif objective == "average":
+            values[:, cols] = _mean_fidelity(u, _axes(sp_grid)[4]).T
         else:
-            transfer[:, :, cols] = u.transpose(1, 2, 0)
+            transfer[:, :, cols] = u.transpose(0, 2, 1)
     if transfer is not None:
         values = _worst_case(transfer, sp_grid, True)
     return values, wrong
-
-
-def _probability(q: np.ndarray, phases: np.ndarray, row: int) -> np.ndarray:
-    """``|U[row, 0]|^2`` clipped to [0, 1], shape ``(C, T)``, from a chunk's eigenvectors
-    ``q`` and phase tensor (``_surface``), as ``transition_probability`` rounds it."""
-    u = (q[:, [row]] * np.conj(q[:, [0]])) @ phases
-    return np.clip(np.abs(u[:, 0]) ** 2, 0.0, 1.0)
 
 
 def _run_width(vals: np.ndarray, idx: int, threshold: float, spacing: float) -> float:

@@ -467,6 +467,19 @@ INVALID_INPUTS = [
      "theta must be finite and > 0"),
     (["noise", "ou", "--n", "20", "--trajectories", "1"],
      "need at least 2 trajectories for ensemble statistics"),
+    (["noise", "ou", "--n", "20", "--phi", "4.712", "--trajectories", "50", "--t-max", "5",
+      "--t-steps", "6", "--theta", "300"],
+     "theta * dt must be < 2 for the Euler-Maruyama step to contract, got theta = 300.0, "
+     "dt = 0.01"),
+    (["noise", "ou", "--n", "20", "--trajectories", "50", "--t-max", "5", "--theta", "1e308"],
+     "theta * dt must be < 2 for the Euler-Maruyama step to contract, got theta = 1e+308, "
+     "dt = 0.01"),
+    (["noise", "ou", "--n", "5", "--trajectories", "2", "--t-max", "0.1", "--sigma", "1e200"],
+     "the stationary variance sigma_vol**2 / (2 theta) must be finite, got sigma_vol = 1e+200, "
+     "theta = 1.0"),
+    (["scan", "weight", "--n", "5", "--t-steps", "3", "--param-steps", "2", "--param-min",
+      "-1e308", "--param-max", "1e308"],
+     "param_range: bounds and their span max - min must be finite, got -1e+308 to 1e+308"),
     (["verify-reduction", "--n-max", "1"], "n_max must be >= 2"),
     (["optimize", "--n", "20", "--t0", "99", "--param0", "1"], "start must lie within bounds"),
     (["optimize", "--n", "20", "--t0", "1", "--param0", "1", "--alpha-points", "0"],

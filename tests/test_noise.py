@@ -66,6 +66,25 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             OUSpec(trajectories=0)
 
+    @pytest.mark.parametrize("theta, dt", [(300.0, 0.01), (1e308, 0.01), (2.0, 1.0), (1.0, 5.0)])
+    def test_ou_rejects_a_step_that_does_not_contract(self, theta, dt):
+        # x + theta dt (mu - x) multiplies x - mu by 1 - theta dt, which is <= -1 here.
+        with pytest.raises(ValueError, match=r"theta \* dt must be < 2 .* got theta = "):
+            OUSpec(theta=theta, dt=dt)
+
+    def test_ou_accepts_a_contracting_step(self):
+        spec = OUSpec(theta=math.nextafter(200.0, 0.0), mu=0.0, dt=0.01)
+        path = ou_sample_path(spec, 500)
+        assert np.isfinite(path).all() and np.abs(path).max() < 1.0
+
+    @pytest.mark.parametrize("sigma_vol, theta", [(1e200, 1.0), (1e150, 1e-300),
+                                                  (1.8e154, 1.0)])
+    def test_ou_rejects_a_non_finite_stationary_variance(self, sigma_vol, theta):
+        # sigma_vol**2 overflows (an OverflowError from pow) or the division does (inf).
+        with pytest.raises(ValueError, match="stationary variance .* must be finite"):
+            OUSpec(theta=theta, sigma_vol=sigma_vol)
+        assert OUSpec(theta=theta, sigma_vol=1e-3).stationary_variance < math.inf
+
 
 class TestStaticNoiseFidelity:
     def test_sharp_limit_recovers_noiseless(self):
@@ -454,7 +473,7 @@ class TestOUEnsemble:
         assert np.all(errors >= 0.0)
 
     def test_curve_rejects_t_max_below_one_step(self):
-        spec = OUSpec(dt=5.0, trajectories=4)
+        spec = OUSpec(theta=0.1, dt=5.0, trajectories=4)  # theta dt < 2: a valid spec
         with pytest.raises(ValueError, match="step"):
             ou_fidelity_curve(PEAK, input_state(SP), target_state(SP), spec, t_max=1.0)
 

@@ -23,7 +23,7 @@ from qwrouter import (
 )
 from qwrouter import routing, search
 from qwrouter.cli import main
-from qwrouter.routing import _TRANSFER, _worst_case, u_element_curve
+from qwrouter.routing import _TRANSFER, _spectrum, _worst_case, elements, u_element_curve
 
 
 def synthetic_surface(values, param_kind="phase"):
@@ -117,6 +117,14 @@ class TestScanGrid:
         with pytest.raises(ValueError):
             ScanGrid((1.0, 0.0, 5), (0.0, 1.0, 5), "phase")
 
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_rejects_a_span_beyond_the_float_range(self, lo, hi):
+        # linspace steps by hi - lo: an infinite span would fill the axis with NaN.
+        with pytest.raises(ValueError, match="param_range: bounds and their span max - min"):
+            ScanGrid((0.0, 1.0, 3), (lo, hi, 2), "weight")
+        with pytest.raises(ValueError, match="t_range: bounds and their span max - min"):
+            ScanGrid((lo, hi, 3), (0.0, 1.0, 2), "weight")
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             ScanGrid((0.0, 1.0, 5), (0.0, 1.0, 5), "frequency")
@@ -205,6 +213,21 @@ class TestScan:
             scan(RouterParams(8, 1.0, 0.0), grid, objective, SuperpositionGrid(3, 4))
             assert calls == [("eigh", (4, 6, 6)), ("eigh", (4, 6, 6)), ("eigh", (2, 6, 6))]
 
+    def test_scan_calls_the_elements_kernel_once_a_chunk(self, monkeypatch):
+        # 10 columns in chunks of 4: three kernel calls, each on a chunk's stacked spectra,
+        # and no call of the one-router reader.
+        calls = []
+        monkeypatch.setattr(search, "elements",
+                            lambda w, *args: calls.append(w.shape) or elements(w, *args))
+        monkeypatch.setattr(routing, "u_element_curve",
+                            lambda *args: calls.append("u_element_curve"))
+        monkeypatch.setattr(search, "_PHASE_BYTES", 96 * 3 * 4)  # 3 times: 4 columns a chunk
+        grid = ScanGrid((0.0, 1.0, 3), (0.0, 1.0, 10), "weight")
+        for objective in ("localized", "average", "worst_case"):
+            calls.clear()
+            scan(RouterParams(8, 1.0, 0.0), grid, objective, SuperpositionGrid(3, 4))
+            assert calls == [(4, 6), (4, 6), (2, 6)]
+
     @pytest.mark.parametrize("objective", ["localized", "average", "worst_case"])
     def test_optimize_looks_its_statistic_up_when_called(self, monkeypatch, objective):
         # Wrappers bound to the module's names, as a tracer installs, see every evaluation.
@@ -263,6 +286,42 @@ def former_scan(base, grid, objective, sp_grid):
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def former_u_element_curve(params, ts, rows, cols):
+    """The former body of ``u_element_curve``, before it became the one-router case of
+    ``elements``: a matvec for a scalar time, one ``(6, T)`` phase matrix per row of ``ts``
+    otherwise."""
+    w, q = _spectrum(params)
+    ts = np.asarray(ts, dtype=float)
+    coeffs = q[rows] * np.conj(q[cols])
+    if ts.ndim == 0:
+        return coeffs @ np.exp(-1j * (w * ts))
+    u = coeffs @ np.exp(-1j * (w[:, None] * ts[..., None, :]))
+    return u if coeffs.ndim == 1 else np.moveaxis(u, -2, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 10**6),
+    beta=st.floats(-40.0, 40.0),
+    phi=st.floats(0.0, 6.28),
+    shape=st.sampled_from([(), (0,), (1,), (7,), (3, 5), (1, 4), (2, 0)]),
+    seed=st.integers(0, 2**32 - 1),
+    element=st.sampled_from([(5, 0), (3, 0), (2, 4), _TRANSFER, ([5, 3], [0, 0])]),
+)
+def test_one_router_elements_match_former_u_element_curve(n, beta, phi, shape, seed, element):
+    params = RouterParams(n, beta, phi)
+    ts = np.random.default_rng(seed).uniform(0.0, 60.0, shape)
+    ts = float(ts) if shape == () else ts
+    former = former_u_element_curve(params, ts, *element)
+    (u,) = elements(*_spectrum(params), ts, element)
+    assert same_bits(u, former)
+    assert same_bits(u_element_curve(params, ts, *element), former)
+    # Several products share one phase tensor, each rounding as it does alone.
+    p16, u = elements(*_spectrum(params), ts, (5, 0), element)
+    assert same_bits(u, former)
+    assert same_bits(p16, former_u_element_curve(params, ts, 5, 0))
 
 
 CHUNK = 3  # columns a chunk, with _PHASE_BYTES patched for the grid's times
