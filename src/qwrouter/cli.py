@@ -225,7 +225,7 @@ main.command_class = _Command
     "--full/--reduced",
     "full",
     default=False,
-    help="Emit the full 2(n+1)-dim matrix instead of the 6-dim one.",
+    help="Emit the full 2(n+1)-dim matrix instead of the 6-dim one (n at most 1023).",
 )
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def hamiltonian_cmd(n: int, beta: float, phi: float, full: bool, output: str | None):
@@ -411,10 +411,12 @@ def noise_cmd(model, n, beta, phi, alpha, chi, t_max, t_steps, k, theta, sigma, 
 
 
 @main.command("verify-reduction")
-@click.option("--n-max", type=int, default=8, show_default=True)
+@click.option("--n-max", type=int, default=8, show_default=True,
+              help="Largest n checked, at most 1023 (a full graph of dimension 2048).")
 @click.option("--trials", type=int, default=20, show_default=True)
 @click.option("--seed", type=int, default=1234, show_default=True)
-@click.option("--tolerance", type=float, default=1e-9, show_default=True)
+@click.option("--tolerance", type=float, default=1e-9, show_default=True,
+              help="Largest deviation that passes; finite and >= 0.")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 @click.pass_context
 def verify_reduction_cmd(ctx, n_max, trials, seed, tolerance, output):
@@ -423,6 +425,8 @@ def verify_reduction_cmd(ctx, n_max, trials, seed, tolerance, output):
     Exits 1 if any projected full-graph evolution deviates from the reduced
     evolution by more than the tolerance.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise click.UsageError("--tolerance must be finite and >= 0")
     worst = verify_reduction(n_max, trials, np.random.default_rng(seed))
     lines = [f"n={n}: max deviation {w:.3e}" for n, w in enumerate(worst, start=2)]
     overall = max(worst)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hamiltonian
-from .hamiltonian import TWO_PI, HermitianMatrix, RouterParams, _read_only
+from .hamiltonian import TWO_PI, HermitianMatrix, RouterParams, _check_full_graph, _read_only
 
 __all__ = ["PureState", "Propagator", "propagator", "evolve", "verify_reduction"]
 
@@ -134,16 +134,17 @@ def verify_reduction(n_max: int, trials: int, rng: np.random.Generator) -> list[
     through ``hamiltonian.reduction_isometry`` (looked up per call, so tests
     can substitute a corrupted one), evolve it on the full graph, project it
     back and compare with the reduced evolution.  Returns the largest
-    absolute amplitude deviation seen at each ``n``.
+    absolute amplitude deviation seen at each ``n``.  ``n_max`` is at most
+    1023, as in ``build_full_hamiltonian``.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_full_graph(n_max, "n_max")
     worst_per_n = []
     for n in range(2, n_max + 1):
-        layout = hamiltonian.FullGraphLayout(n)
-        isometry = hamiltonian.reduction_isometry(layout)
+        isometry = hamiltonian.reduction_isometry(n)
         worst = 0.0
         for _ in range(trials):
             beta = rng.uniform(-2.0, 2.0)
@@ -154,7 +155,7 @@ def verify_reduction(n_max: int, trials: int, rng: np.random.Generator) -> list[
             psi_red = PureState(raw / np.linalg.norm(raw))
             full0 = isometry @ psi_red.amplitudes
             full0 = PureState(full0 / np.linalg.norm(full0))
-            evolved_full = evolve(hamiltonian.build_full_hamiltonian(params, layout), t, full0)
+            evolved_full = evolve(hamiltonian.build_full_hamiltonian(params), t, full0)
             projected = isometry.conj().T @ evolved_full.amplitudes
             evolved_red = evolve(hamiltonian.build_reduced_hamiltonian(params), t, psi_red)
             worst = max(worst, float(np.max(np.abs(projected - evolved_red.amplitudes))))

@@ -34,7 +34,6 @@ import numpy as np
 __all__ = [
     "RouterParams",
     "HermitianMatrix",
-    "FullGraphLayout",
     "build_full_hamiltonian",
     "build_reduced_hamiltonian",
     "reduced_hamiltonians",
@@ -42,6 +41,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# The full graph is a dense (2 (n + 1))^2 complex matrix, and HermitianMatrix takes a
+# conjugate and a copy of it: its dimension is capped here, at 64 MiB a matrix.
+_FULL_DIM_MAX = 2048
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -57,6 +59,14 @@ def _check_n_outputs(n) -> None:
         raise ValueError("n_outputs must be >= 2")
     if n > sys.float_info.max:  # the reduced Hamiltonian holds n - 2 and sqrt(n - 1) as floats
         raise ValueError(f"n_outputs must be at most {sys.float_info.max!r}")
+
+
+def _check_full_graph(n: int, name: str = "n") -> None:
+    """``ValueError`` naming ``name`` unless the full graph of ``n`` outputs fits in
+    ``_FULL_DIM_MAX``: checked before anything is allocated."""
+    if 2 * (n + 1) > _FULL_DIM_MAX:
+        raise ValueError(f"{name} must be at most {_FULL_DIM_MAX // 2 - 1}, so that the full "
+                         f"graph's dimension 2 (n + 1) is at most {_FULL_DIM_MAX}; got {n}")
 
 
 @dataclass(frozen=True)
@@ -116,86 +126,34 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class FullGraphLayout:
-    """Vertex bookkeeping for the full graph.
+def build_full_hamiltonian(params: RouterParams) -> HermitianMatrix:
+    """Hamiltonian of the full ``2(n + 1)``-vertex router graph.
 
     Internal vertices occupy indices ``0 .. n`` and external vertices
-    ``n+1 .. 2n+1``; external ``n + 1 + m`` is attached to internal ``m``.
-    By default the input port is the pair (external ``n+1``, internal ``0``)
-    and the output port is (internal ``1``, external ``n+2``); any pair of
-    distinct internals may be selected instead, since every port of the
-    network can serve as sender or receiver.
-    """
-
-    n_outputs: int
-    input_internal: int = 0
-    output_internal: int = 1
-
-    def __post_init__(self) -> None:
-        _check_n_outputs(self.n_outputs)
-        n = int(self.n_outputs)
-        i, o = int(self.input_internal), int(self.output_internal)
-        if not (0 <= i <= n and 0 <= o <= n):
-            raise ValueError("port indices must be internal vertices (0..n)")
-        if i == o:
-            raise ValueError("input_internal and output_internal must differ")
-        object.__setattr__(self, "n_outputs", n)
-        object.__setattr__(self, "input_internal", i)
-        object.__setattr__(self, "output_internal", o)
-
-    @property
-    def dim(self) -> int:
-        return 2 * (self.n_outputs + 1)
-
-    @property
-    def internal_indices(self) -> range:
-        return range(0, self.n_outputs + 1)
-
-    def external_for(self, internal: int) -> int:
-        """Index of the external vertex attached to ``internal``."""
-        return self.n_outputs + 1 + internal
-
-
-def build_full_hamiltonian(
-    params: RouterParams, layout: FullGraphLayout | None = None
-) -> HermitianMatrix:
-    """Hamiltonian of the full ``2(n + 1)``-vertex router graph.
+    ``n+1 .. 2n+1``; external ``n + 1 + m`` is attached to internal ``m``.  The
+    input port is the pair (external ``n+1``, internal ``0``) and the output port
+    (internal ``1``, external ``n+2``): the core is a complete graph, so every
+    other choice of two ports is a relabeling of this one.
 
     The internal block is the all-ones off-diagonal adjacency of the complete
     graph, except that the (input internal, output internal) element is
     replaced by ``beta * exp(-i * phi)`` (conjugate on the mirrored element).
     Each internal vertex couples to its own external vertex with weight 1.
     The diagonal is zero.  With ``beta = 1`` and ``phi = 0`` the result is the
-    plain 0/1 adjacency matrix of the graph.
-
-    Parameters
-    ----------
-    params : RouterParams
-    layout : FullGraphLayout, optional
-        Defaults to input at internal 0, output at internal 1.
-
-    Returns
-    -------
-    HermitianMatrix
-        Of dimension ``2 * (n_outputs + 1)``.
+    plain 0/1 adjacency matrix of the graph.  ``n`` is at most 1023, a dimension of
+    2048 (``_FULL_DIM_MAX``).
     """
-    if layout is None:
-        layout = FullGraphLayout(params.n_outputs)
-    if layout.n_outputs != params.n_outputs:
-        raise ValueError("layout.n_outputs does not match params.n_outputs")
     n = params.n_outputs
+    _check_full_graph(n)
     nv = n + 1
     h = np.zeros((2 * nv, 2 * nv), dtype=complex)
     h[:nv, :nv] = 1.0
     np.fill_diagonal(h[:nv, :nv], 0.0)
     link = params.beta * np.exp(-1j * params.phi)
-    h[layout.input_internal, layout.output_internal] = link
-    h[layout.output_internal, layout.input_internal] = link.conjugate()
-    for m in layout.internal_indices:
-        e = layout.external_for(m)
-        h[m, e] = 1.0
-        h[e, m] = 1.0
+    h[0, 1] = link
+    h[1, 0] = link.conjugate()
+    for m in range(nv):
+        h[m, nv + m] = h[nv + m, m] = 1.0
     return HermitianMatrix(h)
 
 
@@ -240,8 +198,9 @@ def build_reduced_hamiltonian(params: RouterParams) -> HermitianMatrix:
     )
 
 
-def reduction_isometry(layout: FullGraphLayout) -> np.ndarray:
-    """Isometry ``V`` (shape ``2(n+1) x 6``) from the reduced to the full basis.
+def reduction_isometry(n: int) -> np.ndarray:
+    """Isometry ``V`` (shape ``2(n+1) x 6``) from the reduced basis to the full graph's,
+    with the ports of ``build_full_hamiltonian``.
 
     Columns are, in order: the input external, the input internal, the output
     internal, the output external, the normalized symmetric sum of unassigned
@@ -249,16 +208,11 @@ def reduction_isometry(layout: FullGraphLayout) -> np.ndarray:
     are orthonormal, and ``V.conj().T @ H_full @ V`` reproduces
     ``build_reduced_hamiltonian`` exactly.
     """
-    n = layout.n_outputs
-    v = np.zeros((layout.dim, 6), dtype=complex)
-    v[layout.external_for(layout.input_internal), 0] = 1.0
-    v[layout.input_internal, 1] = 1.0
-    v[layout.output_internal, 2] = 1.0
-    v[layout.external_for(layout.output_internal), 3] = 1.0
+    _check_n_outputs(n)
+    _check_full_graph(n)
+    v = np.zeros((2 * (n + 1), 6), dtype=complex)
+    v[n + 1, 0] = v[0, 1] = v[1, 2] = v[n + 2, 3] = 1.0
     amp = 1.0 / math.sqrt(n - 1.0)
-    for m in layout.internal_indices:
-        if m in (layout.input_internal, layout.output_internal):
-            continue
-        v[m, 4] = amp
-        v[layout.external_for(m), 5] = amp
+    v[2:n + 1, 4] = amp
+    v[n + 3:, 5] = amp
     return v

@@ -305,22 +305,19 @@ def _mean_fidelity(u: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def min_fidelity(
-    params: RouterParams,
-    t,
-    grid: SuperpositionGrid | None = None,
-    refine: bool = True,
+    params: RouterParams, t, grid: SuperpositionGrid | None = None
 ) -> float | np.ndarray:
     """Worst-case routing fidelity over (alpha, chi).
 
-    Takes the grid minimum and, by default, polishes it by step-halving
-    coordinate descent (chi unbounded; until both steps drop below 1e-4), since
-    a bare grid minimum can overestimate the true worst case.  A float for a
-    scalar ``t``; an array of the shape of ``t`` for an array of times, whose
-    elements come from one ``u_element_curve`` call.
+    Takes the grid minimum and polishes it by step-halving coordinate descent
+    (chi unbounded; until both steps drop below 1e-4), since a bare grid minimum
+    (``fidelity_grid(...).min()``) can overestimate the true worst case.  A float
+    for a scalar ``t``; an array of the shape of ``t`` for an array of times,
+    whose elements come from one ``u_element_curve`` call.
     """
     if grid is None:
         grid = SuperpositionGrid()
-    return _worst_case(u_element_curve(params, t, *_TRANSFER), grid, refine)
+    return _worst_case(u_element_curve(params, t, *_TRANSFER), grid)
 
 
 # The worst case's descent: alpha in [0, 1], chi unbounded, until both steps are below 1e-4.
@@ -353,26 +350,25 @@ _V, _W, _U41, _U32 = slice(12, 16), slice(16, 20), slice(20, 22), slice(22, 24)
 _ROWS = 24
 
 
-def _worst_case(u: np.ndarray, grid: SuperpositionGrid, refine: bool) -> float | np.ndarray:
+def _worst_case(u: np.ndarray, grid: SuperpositionGrid) -> float | np.ndarray:
     """``min_fidelity`` from the transfer elements ``u = (U41, U42, U31, U32)`` of shape
     ``(4, ...)``: a float for shape ``(4,)``, else an array of shape ``u.shape[1:]``.
 
-    Each cell takes its grid minimum (``_grid_starts``), which ``refine`` polishes
-    by ``_descend_cell`` from there.  Beyond ``_SCALAR_TAIL`` cells the descents run
+    Each cell takes its grid minimum (``_grid_starts``) and polishes it by
+    ``_descend_cell`` from there.  Beyond ``_SCALAR_TAIL`` cells the descents run
     in lockstep (``_lockstep``), and every cell ends bit for bit where
     ``_descend_cell`` alone would take it; that few cells (a scalar time) keep the
     scalar path.
     """
     cells = u.reshape(4, -1)
-    if refine and cells.shape[1] > _SCALAR_TAIL:
+    if cells.shape[1] > _SCALAR_TAIL:
         out = np.empty(cells.shape[1])
         _lockstep(cells, grid, out)
     else:
         alpha, chi, out = _grid_starts(cells, grid)
-        if refine:
-            steps = _steps(grid)
-            for k, start in enumerate(zip(alpha.tolist(), chi.tolist(), out.tolist())):
-                out[k] = _descend_cell(cells[:, k].tolist(), *start, *steps)
+        steps = _steps(grid)
+        for k, start in enumerate(zip(alpha.tolist(), chi.tolist(), out.tolist())):
+            out[k] = _descend_cell(cells[:, k].tolist(), *start, *steps)
     np.minimum(out, 1.0, out=out)  # clipped to [0, 1]: every value is a square or a grid value
     return float(out[0]) if u.ndim == 1 else out.reshape(u.shape[1:])
 

@@ -40,6 +40,8 @@ _STATISTICS = {
     "average": lambda params, t, grid: average_fidelity(params, t, grid),
     "worst_case": lambda params, t, grid: min_fidelity(params, t, grid),
 }
+# ``refine``'s descent halves its steps until both are below _TOL.
+_TOL = 1e-4
 # ``_surface`` takes as many columns at once as fit in _PHASE_BYTES of phase tensor
 # ``exp(-i w t)`` (16 bytes an eigenvalue and a time; at least one column): 5 at 501 times.
 # Chunks of 5 to 21 columns took about the same time there, and only the smallest kept a
@@ -197,7 +199,7 @@ def _surface(n: int, betas: np.ndarray, phis: np.ndarray, ts: np.ndarray, object
         else:
             transfer[:, :, cols] = u.transpose(0, 2, 1)
     if transfer is not None:
-        values = _worst_case(transfer, sp_grid, True)
+        values = _worst_case(transfer, sp_grid)
     return values, wrong
 
 
@@ -211,20 +213,16 @@ def _run_width(vals: np.ndarray, idx: int, threshold: float, spacing: float) -> 
     return (hi - lo + 1) * spacing
 
 
-def find_peaks(
-    surface: ScanSurface, threshold: float, sort_by: str = "value"
-) -> list[PeakReport]:
+def find_peaks(surface: ScanSurface, threshold: float) -> list[PeakReport]:
     """Grid-local maxima above ``threshold`` with plateau widths at that level.
 
     Width along each axis is the extent of the contiguous run of cells
-    holding at least ``threshold`` through the peak.  Peaks sort by ``value``
-    or by ``width`` (the width product); ties prefer the broader peak, then
-    the earlier time.
+    holding at least ``threshold`` through the peak.  Peaks sort by value,
+    highest first; ties prefer the broader peak (the width product), then the
+    earlier time.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    if sort_by not in ("value", "width"):
-        raise ValueError("sort_by must be 'value' or 'width'")
     v = surface.values
     nt, npar = v.shape
     dt = surface.t_values[1] - surface.t_values[0] if nt > 1 else 1.0
@@ -260,25 +258,21 @@ def find_peaks(
             )
         )
 
-    if sort_by == "value":
-        key = lambda p: (-p.value, -p.width_product, p.location[0])
-    else:
-        key = lambda p: (-p.width_product, -p.value, p.location[0])
-    return sorted(peaks, key=key)
+    return sorted(peaks, key=lambda p: (-p.value, -p.width_product, p.location[0]))
 
 
 def _descend(f: Callable[[float, float], float], x: float, y: float, best: float,
-             bounds, step_x: float, step_y: float, tol: float) -> tuple[float, float, float]:
+             bounds, step_x: float, step_y: float) -> tuple[float, float, float]:
     """Step-halving coordinate descent on ``f`` from ``f(x, y) == best``; returns ``(x, y, best)``.
 
     Each sweep tries ``+-step_x`` then ``+-step_y``, clamped to ``bounds =
     ((x_lo, x_hi), (y_lo, y_hi))`` (a move the clamp leaves in place is
     skipped), and keeps every move that lowers ``best``; a sweep without one
-    halves both steps, until both are below ``tol``.
+    halves both steps, until both are below ``_TOL``.
     """
     # A clamped move takes the bound itself, so int bounds must not give int coordinates.
     x_lo, x_hi, y_lo, y_hi = (float(b) for pair in bounds for b in pair)
-    while step_x >= tol or step_y >= tol:
+    while step_x >= _TOL or step_y >= _TOL:
         improved = False
         for d in (step_x, -step_x):
             cand = x + d  # comparisons, not min(max()): builtin calls slowed this loop ~20%
@@ -304,26 +298,26 @@ def refine(
     objective: Callable[[float, float], float],
     start: tuple[float, float],
     bounds: tuple[tuple[float, float], tuple[float, float]],
-    initial_step: tuple[float, float] | None = None,
-    tol: float = 1e-4,
 ) -> RefineResult:
-    """Derivative-free coordinate ascent with step halving (``_descend``).
+    """Derivative-free coordinate ascent with step halving (``_descend``) within
+    ``bounds = ((t_min, t_max), (param_min, param_max))``.
 
-    Accepted iterates never decrease the objective; terminates once both
-    coordinate steps fall below ``tol``.  Raises ``ValueError`` on non-finite
-    objective values and unless ``tol`` and both steps are finite and positive.
+    Accepted iterates never decrease the objective.  Each first step is a
+    twentieth of its bound's span (at least ``10 * _TOL``), and the ascent ends
+    once both steps fall below ``_TOL``.  Raises ``ValueError`` on non-finite
+    objective values and unless each span ``max - min`` is finite, since an
+    infinite step never falls below ``_TOL``.
     """
+    for axis, (lo, hi) in zip(("t", "param"), bounds):
+        if not math.isfinite(float(hi) - float(lo)):
+            raise ValueError(f"bounds and their span {axis}_max - {axis}_min must be finite, "
+                             f"got {axis}_min = {lo!r}, {axis}_max = {hi!r}")
     (t_lo, t_hi), (p_lo, p_hi) = bounds
     t, p = float(start[0]), float(start[1])
     if not (t_lo <= t <= t_hi and p_lo <= p <= p_hi):
         raise ValueError("start must lie within bounds")
-    if initial_step is None:
-        step_t = max((t_hi - t_lo) / 20.0, 10.0 * tol)
-        step_p = max((p_hi - p_lo) / 20.0, 10.0 * tol)
-    else:
-        step_t, step_p = float(initial_step[0]), float(initial_step[1])
-    if not all(math.isfinite(x) and x > 0.0 for x in (tol, step_t, step_p)):
-        raise ValueError(f"tol and steps must be finite and > 0, got {tol}, {step_t}, {step_p}")
+    step_t = max((t_hi - t_lo) / 20.0, 10.0 * _TOL)
+    step_p = max((p_hi - p_lo) / 20.0, 10.0 * _TOL)
 
     evaluations = 0
 
@@ -336,6 +330,6 @@ def refine(
         return val
 
     t, p, neg_best = _descend(
-        lambda tt, pp: -evaluate(tt, pp), t, p, -evaluate(t, p), bounds, step_t, step_p, tol
+        lambda tt, pp: -evaluate(tt, pp), t, p, -evaluate(t, p), bounds, step_t, step_p
     )
     return RefineResult(point=(t, p), value=-neg_best, converged=True, evaluations=evaluations)

@@ -402,11 +402,21 @@ class TestVerifyReductionCommand:
         assert "PASS" in result.output
         assert "FAIL" not in result.output
 
+    def test_zero_tolerance_and_largest_graph_are_accepted(self, runner, monkeypatch):
+        # The bounds are inclusive: 0 is a valid tolerance, and n_max may reach the cap
+        # (lowered here to dimension 8, so that the check stays small).
+        monkeypatch.setattr(hamiltonian, "_FULL_DIM_MAX", 8)
+        result = runner.invoke(
+            main, ["verify-reduction", "--n-max", "3", "--trials", "2", "--tolerance", "0"])
+        assert result.exit_code in (0, 1)
+        assert "(tolerance 0.0e+00)" in result.output
+        assert result.output.count("max deviation") == 3
+
     def test_detects_corrupted_isometry(self, runner, monkeypatch):
         clean = hamiltonian.reduction_isometry
 
-        def corrupted(layout):
-            v = clean(layout).copy()
+        def corrupted(n):
+            v = clean(n).copy()
             v[0, 0] += 1e-3
             return v
 
@@ -491,6 +501,18 @@ INVALID_INPUTS = [
     (["noise", "vonmises", "--n", "5", "--k", "1", "--t-max", "1e307", "--t-steps", "100"],
      "the row times j * t-max / (t-steps - 1) overflow: (--t-steps - 1) * --t-max "
      "= 99 * 1e+307 exceeds 1.7976931348623157e+308; lower --t-max or --t-steps"),
+    *[(["verify-reduction", "--n-max", "3", "--tolerance", value],
+       "--tolerance must be finite and >= 0") for value in ("nan", "-1", "inf")],
+    # The full graph is capped at dimension 2048 before anything is allocated: 10^6
+    # outputs would be a 16 TB matrix.
+    *[(["verify-reduction", "--n-max", n],
+       f"n_max must be at most 1023, so that the full graph's dimension 2 (n + 1) is at most "
+       f"2048; got {n}") for n in ("1024", "1000000")],
+    *[(["hamiltonian", "--full", "--n", n],
+       f"n must be at most 1023, so that the full graph's dimension 2 (n + 1) is at most "
+       f"2048; got {n}") for n in ("1024", "1000000")],
+    (["optimize", "--n", "20", "--t0", "18.4", "--param0", "4.70", "--t-max", "inf"],
+     "bounds and their span t_max - t_min must be finite, got t_min = 0.0, t_max = inf"),
 ]
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwrouter import (
-    FullGraphLayout,
     Propagator,
     PureState,
     RouterParams,
@@ -105,9 +104,8 @@ def test_localized_transfer_exceeds_080_at_pi_phase():
 def test_reduced_matches_projected_full_graph():
     # Oracle: evolve the full graph from the input port and project back.
     params = RouterParams(5, 1.0, 1.3)
-    lay = FullGraphLayout(5)
-    v = reduction_isometry(lay)
-    full = build_full_hamiltonian(params, lay)
+    v = reduction_isometry(5)
+    full = build_full_hamiltonian(params)
     psi_full0 = PureState(v @ basis_state(6, 0).amplitudes)
     projected = v.conj().T @ evolve(full, 2.7, psi_full0).amplitudes
     reduced = evolve(build_reduced_hamiltonian(params), 2.7, basis_state(6, 0))

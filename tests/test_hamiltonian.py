@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwrouter
+from qwrouter import hamiltonian
 from qwrouter import (
-    FullGraphLayout,
     HermitianMatrix,
     RouterParams,
     build_full_hamiltonian,
@@ -37,7 +37,7 @@ class TestRouterParams:
     def test_rejects_n_beyond_the_largest_float(self):
         # n - 2 and sqrt(n - 1) are floats in the reduced Hamiltonian.
         huge = 10**400
-        for make in (RouterParams, FullGraphLayout):
+        for make in (RouterParams, reduction_isometry):
             with pytest.raises(ValueError, match="n_outputs must be at most"):
                 make(huge)
         assert RouterParams(10**308).n_outputs == 10**308
@@ -90,19 +90,38 @@ class TestFullHamiltonian:
         for m in range(5):
             assert h[m, 5 + m] == 1.0
 
-    def test_layout_ports_configurable(self):
-        lay = FullGraphLayout(5, input_internal=3, output_internal=0)
-        h = build_full_hamiltonian(RouterParams(5, 2.0, 1.1), lay).entries
-        assert h[3, 0] == pytest.approx(2.0 * np.exp(-1.1j), abs=1e-15)
-        assert h[0, 3] == pytest.approx(2.0 * np.exp(1.1j), abs=1e-15)
+    def test_ports_are_fixed(self):
+        # Input (external n+1, internal 0), output (internal 1, external n+2).
+        n = 5
+        h = build_full_hamiltonian(RouterParams(n, 2.0, 1.1)).entries
+        assert h[0, 1] == pytest.approx(2.0 * np.exp(-1.1j), abs=1e-15)
+        assert h[1, 0] == pytest.approx(2.0 * np.exp(1.1j), abs=1e-15)
+        v = reduction_isometry(n)
+        assert [int(np.flatnonzero(v[:, k])[0]) for k in range(4)] == [n + 1, 0, 1, n + 2]
 
-    def test_layout_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            build_full_hamiltonian(RouterParams(4), FullGraphLayout(5))
+    @pytest.mark.parametrize("n", [1024, 10_000])
+    def test_rejects_a_dimension_beyond_2048_before_allocating(self, monkeypatch, n):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
 
-    def test_same_ports_rejected(self):
-        with pytest.raises(ValueError):
-            FullGraphLayout(4, input_internal=2, output_internal=2)
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        message = (f"n must be at most 1023, so that the full graph's dimension 2 (n + 1) is "
+                   f"at most 2048; got {n}")
+        for build in (lambda: build_full_hamiltonian(RouterParams(n)),
+                      lambda: reduction_isometry(n)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        # The largest accepted graph, with the bound lowered so that it stays small.
+        monkeypatch.setattr(hamiltonian, "_FULL_DIM_MAX", 12)
+        assert build_full_hamiltonian(RouterParams(5)).dim == 12
+        assert reduction_isometry(5).shape == (12, 6)
+        for build in (lambda: build_full_hamiltonian(RouterParams(6)),
+                      lambda: reduction_isometry(6)):
+            with pytest.raises(ValueError, match=r"^n must be at most 5, .* at most 12; got 6$"):
+                build()
 
 
 class TestReducedHamiltonian:
@@ -140,14 +159,14 @@ class TestReducedHamiltonian:
 
 class TestIsometry:
     def test_n2_single_entry_columns(self):
-        v = reduction_isometry(FullGraphLayout(2))
+        v = reduction_isometry(2)
         assert np.count_nonzero(v[:, 4]) == 1
         assert np.count_nonzero(v[:, 5]) == 1
         assert v[2, 4] == 1.0
         assert v[5, 5] == 1.0
 
     def test_n5_amplitudes(self):
-        v = reduction_isometry(FullGraphLayout(5))
+        v = reduction_isometry(5)
         col5 = v[:, 4]
         nz = col5[col5 != 0]
         assert nz.size == 4
@@ -155,7 +174,7 @@ class TestIsometry:
 
     def test_orthonormal_columns(self):
         for n in (2, 3, 6, 11):
-            v = reduction_isometry(FullGraphLayout(n))
+            v = reduction_isometry(n)
             np.testing.assert_allclose(
                 v.conj().T @ v, np.eye(6), atol=1e-15
             )
@@ -170,18 +189,8 @@ class TestIsometry:
 def test_reduction_identity(n, beta, phi):
     """V^dag H_full V equals the six-state Hamiltonian entrywise."""
     params = RouterParams(n, beta, phi)
-    lay = FullGraphLayout(n)
-    v = reduction_isometry(lay)
-    full = build_full_hamiltonian(params, lay).entries
-    red = build_reduced_hamiltonian(params).entries
-    np.testing.assert_allclose(v.conj().T @ full @ v, red, atol=1e-12)
-
-
-def test_reduction_identity_nondefault_ports():
-    params = RouterParams(6, 1.4, 2.2)
-    lay = FullGraphLayout(6, input_internal=4, output_internal=2)
-    v = reduction_isometry(lay)
-    full = build_full_hamiltonian(params, lay).entries
+    v = reduction_isometry(n)
+    full = build_full_hamiltonian(params).entries
     red = build_reduced_hamiltonian(params).entries
     np.testing.assert_allclose(v.conj().T @ full @ v, red, atol=1e-12)
 
@@ -259,10 +268,12 @@ def test_package_exports():
     used them: ``FidelityCurve``, ``evolve_piecewise``, ``mixed_state_fidelity``,
     ``noise_equivalence`` and ``noise_equivalence_inverse``; and ``bessel_i0`` and
     ``von_mises_pdf``, once the static-noise quadrature weighted its nodes by the
-    bare von Mises kernel, whose normalizer cancels.
+    bare von Mises kernel, whose normalizer cancels.  ``FullGraphLayout`` went too:
+    only tests chose other ports, and the complete graph's symmetry makes every
+    pair of ports a relabeling of the one fixed pair.
     """
     parent_names = {
-        "FullGraphLayout", "HermitianMatrix", "RouterParams", "build_full_hamiltonian",
+        "HermitianMatrix", "RouterParams", "build_full_hamiltonian",
         "build_reduced_hamiltonian", "reduction_isometry", "Propagator", "PureState",
         "propagator", "evolve", "DensityMatrix",
         "SuperpositionGrid", "SuperpositionParams", "average_fidelity", "fidelity_grid",
@@ -275,7 +286,7 @@ def test_package_exports():
         "static_noise_state", "PeakReport", "RefineResult", "ScanGrid",
         "ScanSurface", "find_peaks", "refine", "scan", "__version__",
     }
-    assert len(parent_names) == 40
+    assert len(parent_names) == 39
     assert len(qwrouter.__all__) == len(set(qwrouter.__all__))
     assert set(qwrouter.__all__) == parent_names | {"reduced_hamiltonians", "verify_reduction"}
     for name in qwrouter.__all__:

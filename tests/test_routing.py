@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qwrouter import (
     DensityMatrix,
-    FullGraphLayout,
     PureState,
     RouterParams,
     SuperpositionGrid,
@@ -180,19 +179,17 @@ class TestWrongOutputProbability:
     def test_full_graph_per_vertex_equality(self):
         # Oracle: full-graph evolution at n=4; each wrong external vertex
         # must carry the same probability as the target external.
+        # The input external is vertex n + 1, the output external n + 2, and the
+        # wrong externals n + 3 .. 2n + 1.
         n = 4
         params = RouterParams(n, 1.0, 0.0)
-        lay = FullGraphLayout(n)
         psi0 = np.zeros(2 * (n + 1), dtype=complex)
-        psi0[lay.external_for(lay.input_internal)] = 1.0
-        out = evolve(build_full_hamiltonian(params, lay), 5.3, PureState(psi0))
+        psi0[n + 1] = 1.0
+        out = evolve(build_full_hamiltonian(params), 5.3, PureState(psi0))
         probs = np.abs(out.amplitudes) ** 2
-        target = probs[lay.external_for(lay.output_internal)]
-        wrong = [
-            probs[lay.external_for(m)]
-            for m in lay.internal_indices
-            if m not in (lay.input_internal, lay.output_internal)
-        ]
+        target = probs[n + 2]
+        wrong = probs[n + 3:]
+        assert wrong.size == n - 1
         np.testing.assert_allclose(wrong, target, atol=1e-9)
         # and the reduced model's per-output figure agrees
         assert per_wrong_output_probability(params, 5.3) == pytest.approx(
@@ -241,9 +238,7 @@ class TestGridStatistics:
     def test_refinement_never_increases_grid_minimum(self):
         p = RouterParams(20, 1.0, 4.708)
         grid = SuperpositionGrid(21, 32)
-        assert min_fidelity(p, 18.523, grid, refine=True) <= min_fidelity(
-            p, 18.523, grid, refine=False
-        ) + 1e-15
+        assert min_fidelity(p, 18.523, grid) <= fidelity_grid(p, 18.523, grid).min()
 
     def test_min_fidelity_reads_transfer_elements_once(self, monkeypatch):
         p = RouterParams(20, 1.0, 4.708)
@@ -256,15 +251,16 @@ class TestGridStatistics:
             return real(*args)
 
         monkeypatch.setattr(routing, "u_element_curve", counting)
-        for refine in (False, True):
-            for t in (18.523, np.linspace(0.0, 25.0, 101)):
-                calls.clear()
-                min_fidelity(p, t, grid, refine=refine)
-                assert len(calls) == 1
-        # The unrefined minimum is the grid minimum, bit for bit.
-        assert min_fidelity(p, 18.523, grid, refine=False) == float(
-            fidelity_grid(p, 18.523, grid).min()
-        )
+        for t in (18.523, np.linspace(0.0, 25.0, 101)):
+            calls.clear()
+            min_fidelity(p, t, grid)
+            assert len(calls) == 1
+        monkeypatch.undo()
+        # The descent starts at the grid minimum, bit for bit, and never rises above it.
+        u = u_element_curve(p, np.array([18.523]), *_TRANSFER)
+        grid_min = fidelity_grid(p, 18.523, grid).min()
+        assert routing._grid_starts(u, grid)[2].tolist() == [grid_min]
+        assert min_fidelity(p, 18.523, grid) <= grid_min
 
     def test_grid_shape(self):
         f = fidelity_grid(RouterParams(5, 1.0, 1.0), 3.0, SuperpositionGrid(11, 16))
@@ -391,16 +387,14 @@ def former_grid_start(u, grid):
     return float(grid.alphas()[i]), float(grid.chis()[j]), float(f[i, j])
 
 
-def former_min_at(u, grid, refine):
+def former_min_at(u, grid):
     """The worst case at one cell as the former ``routing._min_at`` took it: the grid
     start, then ``_descend`` on ``_fidelity_at``."""
     alpha, chi, best = former_grid_start(u, grid)
-    if refine:
-        objective = partial(routing._fidelity_at, *u)
-        _, _, best = search._descend(objective, alpha, chi, min(best, objective(alpha, chi)),
-                                     ((0.0, 1.0), (-math.inf, math.inf)),
-                                     1.0 / max(grid.alpha_points - 1, 1),
-                                     TWO_PI / grid.chi_points, 1e-4)
+    objective = partial(routing._fidelity_at, *u)
+    _, _, best = search._descend(objective, alpha, chi, min(best, objective(alpha, chi)),
+                                 ((0.0, 1.0), (-math.inf, math.inf)),
+                                 1.0 / max(grid.alpha_points - 1, 1), TWO_PI / grid.chi_points)
     return routing._clamp01(best)
 
 
@@ -492,21 +486,21 @@ class TestAgainstFormerLoops:
             got = min_fidelity(params, t, grid)
             assert abs(got - min_fidelity_loop_reference(params, t, grid)) <= 1e-15
 
-    @pytest.mark.parametrize("refine", [False, True])
-    def test_min_fidelity_over_time_arrays(self, refine):
+    def test_min_fidelity_over_time_arrays(self):
         grid = SuperpositionGrid(9, 12)
         rng = np.random.default_rng(47)
         for _ in range(8):
             params, _ = random_router(rng)
             ts = rng.uniform(0.0, 50.0, (3, 7))
-            table = min_fidelity(params, ts, grid, refine=refine)
+            table = min_fidelity(params, ts, grid)
             assert table.shape == ts.shape
-            np.testing.assert_array_equal(min_fidelity(params, ts[1], grid, refine=refine),
-                                          table[1])
+            np.testing.assert_array_equal(min_fidelity(params, ts[1], grid), table[1])
             for got, t in zip(table.ravel().tolist(), ts.ravel().tolist()):
-                assert abs(got - min_fidelity(params, t, grid, refine=refine)) <= 1e-15
-        assert min_fidelity(params, np.empty((0, 4)), grid, refine=refine).shape == (0, 4)
-        assert type(min_fidelity(params, np.float64(2.0), grid, refine=refine)) is float
+                scalar = min_fidelity(params, t, grid)
+                assert abs(got - scalar) <= 1e-15
+                assert scalar <= fidelity_grid(params, t, grid).min()
+        assert min_fidelity(params, np.empty((0, 4)), grid).shape == (0, 4)
+        assert type(min_fidelity(params, np.float64(2.0), grid)) is float
 
     def test_worst_case_scan_reads_starts_from_cached_axes(self, monkeypatch):
         from qwrouter.search import ScanGrid, scan
@@ -529,10 +523,10 @@ class TestAgainstFormerLoops:
         u = np.stack([u_element_curve(RouterParams(20, 1.0, phi), surface.t_values, *_TRANSFER)
                       for phi in surface.param_values.tolist()], axis=-1)
         cells = u.reshape(4, -1).T.tolist()
-        assert surface.values.ravel().tolist() == [former_min_at(c, grid, True) for c in cells]
+        assert surface.values.ravel().tolist() == [former_min_at(c, grid) for c in cells]
         # The former objective squared with ** 2 (pow), which can round one unit apart.
         monkeypatch.setattr(routing, "_fidelity_at", pow_fidelity_at)
-        former = [former_min_at(c, grid, True) for c in cells]
+        former = [former_min_at(c, grid) for c in cells]
         np.testing.assert_allclose(surface.values.ravel(), former, rtol=0.0, atol=2.3e-16)
 
     @pytest.mark.parametrize("row", TABLE1_ROWS, ids=lambda r: f"n{r[0]}-{r[3]}")
@@ -645,9 +639,9 @@ class TestScreenedMinima:
         assert peaks[0] <= 10 * points
         # More cells add their candidates and three floats of output each.
         assert peaks[1] - peaks[0] <= points
-        # Without refinement the worst case is the per-cell grid minimum, bit for bit.
-        got = min_fidelity(params, ts[:4], grid, refine=False)
-        assert got.tolist() == [former_min_at(c, grid, False) for c in u[:, :4].T.tolist()]
+        # The descent's starts are the per-cell grid minima, bit for bit.
+        got = routing._grid_starts(u[:, :4], grid)[2]
+        assert got.tolist() == [former_grid_start(c, grid)[2] for c in u[:, :4].T.tolist()]
 
     def test_benchmark_surface_matches_former_per_cell(self, monkeypatch):
         # Every cell of the seed-0 benchmark surface ends where the former _min_at takes
@@ -658,10 +652,10 @@ class TestScreenedMinima:
         real = routing._step_back
         monkeypatch.setattr(routing, "_step_back", lambda state, cells, coord, *rest: (
             steps_back.append(coord), real(state, cells, coord, *rest)))
-        got = routing._worst_case(u, grid, True)
+        got = routing._worst_case(u, grid)
         assert set(steps_back) == {routing._X, routing._Y}
         cells = u.reshape(4, -1).T.tolist()
-        assert got.ravel().tolist() == [former_min_at(c, grid, True) for c in cells]
+        assert got.ravel().tolist() == [former_min_at(c, grid) for c in cells]
 
 
 class TestLockstep:
@@ -678,8 +672,8 @@ class TestLockstep:
         rng = np.random.default_rng(seed)
         params, _ = random_router(rng)
         u = u_element_curve(params, rng.uniform(0.0, 50.0, cells), *_TRANSFER)
-        got = routing._worst_case(u, grid, True)
-        assert got.tolist() == [former_min_at(c, grid, True) for c in u.T.tolist()]
+        got = routing._worst_case(u, grid)
+        assert got.tolist() == [former_min_at(c, grid) for c in u.T.tolist()]
 
     def test_objective_planes_match_scalar_bit_for_bit(self):
         # 20,000 points: the scalar objective once squared with ** 2, which
@@ -709,11 +703,11 @@ class TestLockstep:
         real = routing._sweep
         monkeypatch.setattr(routing, "_sweep",
                             lambda state: sizes.append(state.shape[1]) or real(state))
-        got = routing._worst_case(u, grid, True)
+        got = routing._worst_case(u, grid)
         assert sum(size > routing._SCALAR_TAIL for size in sizes) >= 300
         assert min(sizes) > routing._SCALAR_TAIL  # the rest finished in _descend
         cells = u.reshape(4, -1).T.tolist()
-        assert got.ravel().tolist() == [former_min_at(c, grid, True) for c in cells]
+        assert got.ravel().tolist() == [former_min_at(c, grid) for c in cells]
 
     @pytest.mark.parametrize("size", [1, 7, routing._LOCKSTEP_CELLS, 512])
     def test_lockstep_size_leaves_values(self, monkeypatch, size):
@@ -721,9 +715,9 @@ class TestLockstep:
         rng = np.random.default_rng(23)
         params, _ = random_router(rng)
         u = u_element_curve(params, rng.uniform(0.0, 50.0, (15, 2)), *_TRANSFER)
-        expected = [former_min_at(c, grid, True) for c in u.reshape(4, -1).T.tolist()]
+        expected = [former_min_at(c, grid) for c in u.reshape(4, -1).T.tolist()]
         monkeypatch.setattr(routing, "_LOCKSTEP_CELLS", size)
-        got = routing._worst_case(u, grid, True)
+        got = routing._worst_case(u, grid)
         assert got.shape == (15, 2)
         assert got.ravel().tolist() == expected
 
@@ -738,7 +732,7 @@ class TestLockstep:
             # U32 = 0 puts every minimum, 0, at alpha = 0, so each descent only halves
             # its steps: this measures the lockstep's state, not the length of its work.
             u[3] = 0.0
-            peaks.append(traced_peak(lambda: routing._worst_case(u, grid, True)))
+            peaks.append(traced_peak(lambda: routing._worst_case(u, grid)))
         # 3n more cells of complex input (4 x 16 B) and float output (8 B).
         assert peaks[1] - peaks[0] <= 3 * n * (4 * 16 + 8)
 

@@ -74,8 +74,9 @@ def find_peaks_reference_keys(values, threshold):
     return cells
 
 
-def refine_loop_reference(objective, start, bounds, initial_step=None, tol=1e-4):
-    """The former ``refine`` loop: (point, value, evaluations)."""
+def refine_loop_reference(objective, start, bounds):
+    """The former ``refine`` loop, with its default steps and ``tol = 1e-4``:
+    (point, value, evaluations)."""
     (t_lo, t_hi), (p_lo, p_hi) = bounds
     t, p = float(start[0]), float(start[1])
     evaluations = 0
@@ -86,11 +87,9 @@ def refine_loop_reference(objective, start, bounds, initial_step=None, tol=1e-4)
         return float(objective(tt, pp))
 
     best = evaluate(t, p)
-    if initial_step is None:
-        step_t = max((t_hi - t_lo) / 20.0, 10.0 * tol)
-        step_p = max((p_hi - p_lo) / 20.0, 10.0 * tol)
-    else:
-        step_t, step_p = float(initial_step[0]), float(initial_step[1])
+    tol = 1e-4
+    step_t = max((t_hi - t_lo) / 20.0, 10.0 * tol)
+    step_p = max((p_hi - p_lo) / 20.0, 10.0 * tol)
     while step_t >= tol or step_p >= tol:
         improved = False
         for dt_, dp_ in ((step_t, 0.0), (-step_t, 0.0), (0.0, step_p), (0.0, -step_p)):
@@ -279,7 +278,7 @@ def former_scan(base, grid, objective, sp_grid):
         values = np.stack([average_fidelity(p, ts, sp) for p in columns], axis=-1)
     else:
         values = _worst_case(
-            np.stack([u_element_curve(p, ts, *_TRANSFER) for p in columns], axis=-1), sp, True)
+            np.stack([u_element_curve(p, ts, *_TRANSFER) for p in columns], axis=-1), sp)
     return values, wrong
 
 
@@ -454,16 +453,14 @@ class TestFindPeaks:
         assert a[0].width_t == b[0].width_param
         assert a[0].width_param == b[0].width_t
 
-    def test_sorting_modes(self):
+    def test_sorts_by_value_then_width(self):
         vals = np.zeros((11, 11))
         vals[2, 2] = 0.99  # tall, narrow
         vals[7, 3:8] = 0.6  # short, broad plateau
-        surface = synthetic_surface(vals)
-        by_value = find_peaks(surface, threshold=0.5, sort_by="value")
-        by_width = find_peaks(surface, threshold=0.5, sort_by="width")
-        assert by_value[0].value == pytest.approx(0.99)
-        assert by_width[0].value == pytest.approx(0.6)
-        assert by_width[0].width_param == pytest.approx(5.0)
+        vals[9, 9] = 0.6  # as short, narrow
+        peaks = find_peaks(synthetic_surface(vals), threshold=0.5)
+        assert [p.location for p in peaks] == [(2.0, 2.0), (7.0, 3.0), (9.0, 9.0)]
+        assert [p.width_param for p in peaks] == [1.0, 5.0, 1.0]
 
     def test_plateau_counts_once(self):
         vals = np.zeros((6, 6))
@@ -479,14 +476,13 @@ class TestFindPeaks:
             shape = tuple(int(k) for k in rng.integers(1, 12, 2))
             vals = rng.integers(0, 5, shape) / 5.0 + 0.1
             cells = find_peaks_reference_keys(vals, 0.3)
-            for sort_by in ("value", "width"):
-                peaks = find_peaks(synthetic_surface(vals), threshold=0.3, sort_by=sort_by)
-                assert sorted(p.location for p in peaks) == sorted(
-                    (float(i), float(j)) for i, j in cells
-                )
-                for peak in peaks:
-                    i, j = (int(x) for x in peak.location)
-                    assert peak.value == vals[i, j]
+            peaks = find_peaks(synthetic_surface(vals), threshold=0.3)
+            assert sorted(p.location for p in peaks) == sorted(
+                (float(i), float(j)) for i, j in cells
+            )
+            for peak in peaks:
+                i, j = (int(x) for x in peak.location)
+                assert peak.value == vals[i, j]
             total += len(cells)
         assert total > 200
 
@@ -512,8 +508,6 @@ class TestFindPeaks:
             find_peaks(surface, threshold=0.0)
         with pytest.raises(ValueError):
             find_peaks(surface, threshold=1.0)
-        with pytest.raises(ValueError):
-            find_peaks(surface, threshold=0.5, sort_by="area")
 
 
 class TestRefine:
@@ -570,54 +564,56 @@ class TestRefine:
             refine(lambda t, p: 0.0, start=(2.0, 0.5), bounds=((0.0, 1.0), (0.0, 1.0)))
 
     @pytest.mark.parametrize(
-        "objective, start, bounds, initial_step",
+        "objective, start, bounds",
         [
-            (lambda t, p: -((t - 1.3) ** 2 + (p - 2.1) ** 2), (0.5, 0.5), ((0.0, 3.0), (0.0, 4.0)),
-             None),
-            (lambda t, p: 5.0, (1.0, 2.0), ((0.0, 3.0), (0.0, 3.0)), None),
+            (lambda t, p: -((t - 1.3) ** 2 + (p - 2.1) ** 2), (0.5, 0.5), ((0.0, 3.0), (0.0, 4.0))),
+            (lambda t, p: 5.0, (1.0, 2.0), ((0.0, 3.0), (0.0, 3.0))),
             (lambda t, p: float(np.sin(3 * t) * np.cos(2 * p)), (0.3, 2.2),
-             ((0.0, 3.0), (0.0, 3.0)), None),
+             ((0.0, 3.0), (0.0, 3.0))),
             (lambda t, p: float(np.sin(3 * t) * np.cos(2 * p)), (2.9, 0.1),
-             ((0.0, 3.0), (0.0, 3.0)), (0.4, 0.05)),
-            (lambda t, p: t + p, (0.5, 0.5), ((0.0, 1.0), (0.0, 1.0)), None),
+             ((0.0, 3.0), (0.0, 3.0))),
+            (lambda t, p: t + p, (0.5, 0.5), ((0.0, 1.0), (0.0, 1.0))),
             # The optimum (5, -1) lies outside: the ascent ends on the corner (3, 0).
             (lambda t, p: -((t - 5.0) ** 2 + (p + 1.0) ** 2), (1.0, 2.0),
-             ((0.0, 3.0), (0.0, 3.0)), None),
+             ((0.0, 3.0), (0.0, 3.0))),
             (lambda t, phi: average_fidelity(RouterParams(20, 1.0, phi), t), (18.4, 4.70),
-             ((17.0, 20.0), (4.4, 5.0)), None),
+             ((17.0, 20.0), (4.4, 5.0))),
+            # A zero span: both first steps are 10 * 1e-4.
+            (lambda t, p: -((t - 1.3) ** 2 + (p - 2.1) ** 2), (1.0, 2.0), ((1.0, 1.0), (0.0, 4.0))),
         ],
     )
-    def test_matches_former_loop(self, objective, start, bounds, initial_step):
-        result = refine(objective, start, bounds, initial_step=initial_step)
-        point, value, evaluations = refine_loop_reference(objective, start, bounds, initial_step)
+    def test_matches_former_loop(self, objective, start, bounds):
+        result = refine(objective, start, bounds)
+        point, value, evaluations = refine_loop_reference(objective, start, bounds)
         assert result.point == point
         assert result.value == value
         assert result.evaluations == evaluations
 
     @pytest.mark.parametrize(
-        "initial_step, tol",
+        "bounds, message",
         [
-            (None, 0.0),
-            (None, -1e-4),
-            (None, math.nan),
-            (None, math.inf),
-            ((math.inf, 0.1), 1e-4),
-            ((0.1, math.nan), 1e-4),
-            ((0.0, 0.1), 1e-4),
-            ((0.1, -0.1), 1e-4),
+            (((0.0, math.inf), (0.0, 1.0)), "t_max - t_min must be finite, got t_min = 0.0, "
+                                             "t_max = inf"),
+            (((-math.inf, 1.0), (0.0, 1.0)), "t_max - t_min must be finite, got t_min = -inf, "
+                                              "t_max = 1.0"),
+            (((0.0, 1.0), (0.0, math.nan)), "param_max - param_min must be finite, got "
+                                             "param_min = 0.0, param_max = nan"),
+            (((0.0, 1.0), (-1e308, 1e308)), "param_max - param_min must be finite, got "
+                                             "param_min = -1e+308, param_max = 1e+308"),
         ],
     )
-    def test_rejects_bad_tol_or_step(self, initial_step, tol):
-        # tol = 0 or an infinite step used to loop forever; NaN or non-positive
-        # values used to skip the refinement silently.
+    def test_rejects_an_infinite_span(self, bounds, message):
+        # Each first step is a twentieth of its span: an infinite one never halves below
+        # 1e-4, so the ascent used to loop forever; a NaN one skipped it silently.
         calls = []
 
         def objective(t, p):
             calls.append((t, p))
             return t
 
-        with pytest.raises(ValueError, match="finite and > 0"):
-            refine(objective, (0.5, 0.5), ((0.0, 1.0), (0.0, 1.0)), initial_step, tol)
+        with pytest.raises(ValueError) as err:
+            refine(objective, (0.5, 0.5), bounds)
+        assert str(err.value) == "bounds and their span " + message
         assert calls == []
 
     def test_respects_bounds(self):
@@ -642,3 +638,17 @@ class TestRefine:
         assert all(type(x) is float for x in result.point)
         assert all(type(x) is float for point in seen for x in point)
         assert json.dumps(result.point) == "[1.0, 1.0]"
+
+
+def test_removed_options_are_rejected():
+    # Fixed refine steps, one peak order and an always-refined worst case.
+    bowl = lambda t, p: -(t * t + p * p)  # noqa: E731
+    bounds = ((0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(TypeError):
+        refine(bowl, (0.5, 0.5), bounds, initial_step=(0.1, 0.1))
+    with pytest.raises(TypeError):
+        refine(bowl, (0.5, 0.5), bounds, tol=1e-3)
+    with pytest.raises(TypeError):
+        find_peaks(synthetic_surface(np.zeros((3, 3))), 0.5, sort_by="width")
+    with pytest.raises(TypeError):
+        min_fidelity(RouterParams(5), 1.0, refine=False)
