@@ -166,8 +166,22 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
         raise click.UsageError(f"cannot write output file: {exc}")
 
 
-def _matrix_pairs(arr: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+def _matrix_json(header: dict, matrix: np.ndarray) -> Iterator[str]:
+    """``json.dumps({**header, "matrix": pairs}, indent=2)`` and a newline, one matrix
+    row at a time, with ``pairs`` the row-major ``[re, im]`` pairs of the complex
+    ``matrix``.
+
+    The header's dump is left open for the matrix.  Each row is one compact dump
+    of its pairs, whose separators are then replaced by the indented dump's (a
+    float's text holds no ``[``, comma or space): json's C encoder writes it about
+    4x as fast as its pure-Python indenting one.  Only one row's text is ever held.
+    """
+    yield json.dumps({**header, "matrix": None}, indent=2)[:-len("null\n}")] + "["
+    for i, row in enumerate(matrix):
+        text = json.dumps(np.stack([row.real, row.imag], axis=-1).tolist())  # [[re, im], ...]
+        text = text.replace("], [", "\n      ],\n      [\n        ").replace(", ", ",\n        ")
+        yield ("," if i else "") + "\n    [\n      [\n        " + text[2:-2] + "\n      ]\n    ]"
+    yield "\n  ]\n}\n"
 
 
 def _load_config(ctx: click.Context, path: str) -> None:
@@ -237,15 +251,14 @@ def hamiltonian_cmd(n: int, beta: float, phi: float, full: bool, output: str | N
     else:
         matrix = build_reduced_hamiltonian(params).entries
         kind = "reduced"
-    payload = {
+    header = {
         "kind": kind,
         "n": params.n_outputs,
         "beta": params.beta,
         "phi": params.phi,
         "dim": matrix.shape[0],
-        "matrix": _matrix_pairs(matrix),
     }
-    _emit([json.dumps(payload, indent=2) + "\n"], output)
+    _emit(_matrix_json(header, matrix), output)
 
 
 @main.command("scan")

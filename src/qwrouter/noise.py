@@ -112,6 +112,13 @@ class OUSpec:
     is in scope (ensemble averaging); standalone path sampling requires an
     explicit ``mu``.  The stationary variance ``sigma_vol**2 / (2 theta)`` must be
     finite, and ``theta * dt < 2``, so that the Euler–Maruyama step contracts.
+
+    ``X_0`` is drawn from the OU process's stationary law ``N(mu, sigma_vol**2 /
+    (2 theta))``, but the Euler–Maruyama chain's own stationary variance is
+    ``sigma_vol**2 / (theta (2 - theta dt))``, ``2 / (2 - theta dt)`` times that:
+    the paths' spread grows toward it, its gap shrinking by ``(1 - theta dt)**2`` a
+    step.  That ratio is about ``1 + theta dt / 2`` (1.005 at the defaults) and 4/3
+    at ``theta dt = 0.5``; a smaller ``dt`` brings it closer to 1.
     """
 
     theta: float = 1.0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -320,13 +320,15 @@ def min_fidelity(
     return _worst_case(u_element_curve(params, t, *_TRANSFER), grid)
 
 
-# The worst case's descent: alpha in [0, 1], chi unbounded, until both steps are below 1e-4.
+# The step-halving descent (``_descend``) halves its steps until both are below _TOL.
 _TOL = 1e-4
+# The worst case's descent: alpha in [0, 1], chi unbounded.
+_CHART_BOUNDS = ((0.0, 1.0), (-math.inf, math.inf))
 # Cells descending in lockstep at once.  The lockstep state is 24 floats a cell (48 during a
 # sweep), so this bounds its memory whatever the surface; a cell that finishes makes room
 # for the next.
 _LOCKSTEP_CELLS = 256
-# Once no cell waits and at most this many still descend, each finishes in ``_descend_cell``:
+# Once no cell waits and at most this many still descend, each finishes in ``_descend``:
 # a numpy sweep costs about as much as the scalar sweeps of a dozen or two cells.
 _SCALAR_TAIL = 16
 # ``_grid_starts`` screens as many cells at once as fit in _SCREEN_BYTES of screen (8 bytes a
@@ -350,25 +352,52 @@ _V, _W, _U41, _U32 = slice(12, 16), slice(16, 20), slice(20, 22), slice(22, 24)
 _ROWS = 24
 
 
+def _descend(f: Callable[[float, float], float], x: float, y: float, best: float,
+             bounds, step_x: float, step_y: float) -> tuple[float, float, float]:
+    """Step-halving coordinate descent on ``f`` from ``f(x, y) == best``; returns ``(x, y, best)``.
+
+    Each sweep tries ``+-step_x`` then ``+-step_y``, clamped to ``bounds =
+    ((x_lo, x_hi), (y_lo, y_hi))`` (a move the clamp leaves in place is
+    skipped), and keeps every move that lowers ``best``; a sweep without one
+    halves both steps, until both are below ``_TOL``.  The worst case descends
+    ``_fidelity_at`` on the chart, and ``search.refine`` its negated objective.
+    """
+    # A clamped move takes the bound itself, so int bounds must not give int coordinates.
+    x_lo, x_hi, y_lo, y_hi = (float(b) for pair in bounds for b in pair)
+    while step_x >= _TOL or step_y >= _TOL:
+        improved = False
+        for d in (step_x, -step_x):
+            cand = x + d  # comparisons, not min(max()): builtin calls slowed this loop ~20%
+            cand = x_lo if cand < x_lo else x_hi if cand > x_hi else cand
+            if cand != x:
+                val = f(cand, y)
+                if val < best:
+                    x, best, improved = cand, val, True
+        for d in (step_y, -step_y):
+            cand = y + d
+            cand = y_lo if cand < y_lo else y_hi if cand > y_hi else cand
+            if cand != y:
+                val = f(x, cand)
+                if val < best:
+                    y, best, improved = cand, val, True
+        if not improved:
+            step_x *= 0.5
+            step_y *= 0.5
+    return x, y, best
+
+
 def _worst_case(u: np.ndarray, grid: SuperpositionGrid) -> float | np.ndarray:
     """``min_fidelity`` from the transfer elements ``u = (U41, U42, U31, U32)`` of shape
     ``(4, ...)``: a float for shape ``(4,)``, else an array of shape ``u.shape[1:]``.
 
     Each cell takes its grid minimum (``_grid_starts``) and polishes it by
-    ``_descend_cell`` from there.  Beyond ``_SCALAR_TAIL`` cells the descents run
-    in lockstep (``_lockstep``), and every cell ends bit for bit where
-    ``_descend_cell`` alone would take it; that few cells (a scalar time) keep the
-    scalar path.
+    ``_descend`` on ``_fidelity_at`` from there; ``_lockstep`` runs the descents of
+    all cells together, and every cell ends bit for bit where ``_descend`` alone
+    would take it.
     """
     cells = u.reshape(4, -1)
-    if cells.shape[1] > _SCALAR_TAIL:
-        out = np.empty(cells.shape[1])
-        _lockstep(cells, grid, out)
-    else:
-        alpha, chi, out = _grid_starts(cells, grid)
-        steps = _steps(grid)
-        for k, start in enumerate(zip(alpha.tolist(), chi.tolist(), out.tolist())):
-            out[k] = _descend_cell(cells[:, k].tolist(), *start, *steps)
+    out = np.empty(cells.shape[1])
+    _lockstep(cells, grid, out)
     np.minimum(out, 1.0, out=out)  # clipped to [0, 1]: every value is a square or a grid value
     return float(out[0]) if u.ndim == 1 else out.reshape(u.shape[1:])
 
@@ -450,63 +479,16 @@ def _grid_starts(u: np.ndarray, grid: SuperpositionGrid) -> tuple[np.ndarray, np
     return alpha, chi, best
 
 
-def _steps(grid: SuperpositionGrid) -> tuple[float, float]:
-    """The descent's first steps: one grid spacing in alpha and in chi."""
-    return 1.0 / max(grid.alpha_points - 1, 1), TWO_PI / grid.chi_points
-
-
-def _descend_cell(u: list[complex], x: float, y: float, best: float, step_x: float,
-                  step_y: float) -> float:
-    """The unclamped worst case at one cell ``u = (U41, U42, U31, U32)``: step-halving
-    coordinate descent on ``_fidelity_at(*u, alpha, chi)`` from ``(x, y)``, with
-    ``best`` lowered to the objective there.
-
-    Each sweep tries ``+-step_x`` in alpha, clamped to [0, 1] (a move the clamp
-    leaves in place is skipped), then ``+-step_y`` in chi, and keeps every move that
-    lowers ``best``; a sweep without one halves both steps, until both are below
-    ``_TOL``.  The alpha terms and the phase of the point are kept, so each move
-    recomputes only those of its coordinate, each as ``_fidelity_at`` rounds it.
-    """
-    u41, u42, u31, u32 = u
-    # 1 - a * a >= 0 for a in [0, 1], so _fidelity_at's max(0.0, ...) leaves it as it is.
-    gamma = math.sqrt(1.0 - x * x)
-    ag, t1, t4 = x * gamma, x * x * u41, gamma * gamma * u32
-    ph = complex(math.cos(y), math.sin(y))
-    a = abs(t1 + ag * ph * u42 + ag * ph.conjugate() * u31 + t4)
-    best = min(best, a * a)
-    while step_x >= _TOL or step_y >= _TOL:
-        improved = False
-        for d in (step_x, -step_x):
-            cand = x + d  # comparisons, not min(max()): builtin calls slowed this loop ~20%
-            cand = 0.0 if cand < 0.0 else 1.0 if cand > 1.0 else cand
-            if cand != x:
-                gamma = math.sqrt(1.0 - cand * cand)
-                cag, c1, c4 = cand * gamma, cand * cand * u41, gamma * gamma * u32
-                a = abs(c1 + cag * ph * u42 + cag * ph.conjugate() * u31 + c4)
-                if a * a < best:
-                    x, ag, t1, t4, best, improved = cand, cag, c1, c4, a * a, True
-        for d in (step_y, -step_y):
-            cand = y + d
-            if cand != y:
-                turned = complex(math.cos(cand), math.sin(cand))
-                a = abs(t1 + ag * turned * u42 + ag * turned.conjugate() * u31 + t4)
-                if a * a < best:
-                    y, ph, best, improved = cand, turned, a * a, True
-        if not improved:
-            step_x *= 0.5
-            step_y *= 0.5
-    return best
-
-
 def _lockstep(cells: np.ndarray, grid: SuperpositionGrid, out: np.ndarray) -> None:
     """Write the unclamped worst case of every column of ``cells`` into ``out``:
-    ``_descend_cell`` from the cell's grid minimum.
+    ``_descend`` on ``_fidelity_at`` from the cell's grid minimum.
 
     Up to ``_LOCKSTEP_CELLS`` cells descend together, one ``_sweep`` at a time; a
     finished cell leaves and, once at most half remain, waiting cells enter.  So
     the few cells that need thousands of sweeps share them, whatever their place
     on the surface.  When no cell waits and at most ``_SCALAR_TAIL`` still descend,
-    each continues in ``_descend_cell`` from its state.
+    each continues in ``_descend`` from its state: so a scalar time, or any few
+    cells, enter together and go straight on to ``_descend``.
     """
     idx = np.empty(0, dtype=np.intp)
     state = np.empty((_ROWS, 0))
@@ -526,17 +508,19 @@ def _lockstep(cells: np.ndarray, grid: SuperpositionGrid, out: np.ndarray) -> No
             break
         _sweep(state)
     for k, col in zip(idx.tolist(), state.T.tolist()):
-        out[k] = _descend_cell(cells[:, k].tolist(), col[_X], col[_Y], col[_BEST],
-                               col[_STEP_X], col[_STEP_Y])
+        f = partial(_fidelity_at, *cells[:, k].tolist())
+        x, y = col[_X], col[_Y]
+        out[k] = _descend(f, x, y, min(col[_BEST], f(x, y)), _CHART_BOUNDS, col[_STEP_X],
+                          col[_STEP_Y])[2]
 
 
 def _start_state(u: np.ndarray, grid: SuperpositionGrid) -> np.ndarray:
     """Lockstep state of the cells ``u`` (shape ``(4, m)``) at their grid minima, with
-    ``best`` the lower of the grid's and the objective's value there, as
-    ``_descend_cell`` starts them."""
+    ``best`` the lower of the grid's and the objective's value there, and first steps
+    of one grid spacing in alpha and in chi."""
     state = np.empty((_ROWS, u.shape[1]))
     state[_X], state[_Y], state[_BEST] = _grid_starts(u, grid)
-    state[_STEP_X], state[_STEP_Y] = _steps(grid)
+    state[_STEP_X], state[_STEP_Y] = 1.0 / max(grid.alpha_points - 1, 1), TWO_PI / grid.chi_points
     u41, u42, u31, u32 = u
     state[_V] = u42.real, u42.imag, u31.real, u31.imag
     state[_W] = -u42.imag, u42.real, u31.imag, -u31.real
@@ -550,7 +534,7 @@ def _start_state(u: np.ndarray, grid: SuperpositionGrid) -> np.ndarray:
 
 def _alpha_terms(state: np.ndarray) -> None:
     """From the alphas in row _X, write ``alpha gamma``, ``alpha^2 U41`` and
-    ``gamma^2 U32`` into the rows _AG, _T1 and _T4, as ``_descend_cell`` rounds them."""
+    ``gamma^2 U32`` into the rows _AG, _T1 and _T4, as ``_fidelity_at`` rounds them."""
     alpha = state[_X]
     aa = alpha * alpha
     gamma = np.sqrt(1.0 - aa)
@@ -565,7 +549,7 @@ def _square_overlap(state: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     gamma e^{i chi}`` (rows _AG and _CS), ``t1 = alpha^2 U41`` and ``t4 = gamma^2 U32``.
 
     Each product and sum is the one CPython's complex arithmetic makes in
-    ``_descend_cell``, in its order, and ``np.hypot`` is its ``abs``; numpy's own
+    ``_fidelity_at``, in its order, and ``np.hypot`` is its ``abs``; numpy's own
     complex multiply and ``abs`` round differently.
     """
     p = state[_AG] * state[_CS]
@@ -600,16 +584,16 @@ _MOVES = ((_X, _STEP_X, slice(_X, _BEST + 1), _alpha_move),
 
 
 def _sweep(state: np.ndarray) -> None:
-    """One sweep of ``_descend_cell`` on every cell of the lockstep state, in place: the
+    """One sweep of ``_descend`` on every cell of the lockstep state, in place: the
     moves ``+-step_x`` then ``+-step_y``, each kept where it lowers ``best``; a cell
     without a kept move halves both steps.
 
     Both moves along a coordinate are valued from the same point, in one pass over
-    the state taken twice.  Where the ``+step`` move is kept, the scalar descent
+    the state taken twice.  Where the ``+step`` move is kept, ``_descend``
     tries ``-step`` from the new point; if that lands back on the old point its
     value is at least the old ``best``, so it is rejected, and only the cells where
     it does not (a clamp at alpha = 1, or ``y + d - d != y``) are valued again.
-    A move the clamp leaves in place, which the scalar descent skips, is valued
+    A move the clamp leaves in place, which ``_descend`` skips, is valued
     too: ``best`` never exceeds the value at the cell's point, so it is rejected.
     """
     m = state.shape[1]

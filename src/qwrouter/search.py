@@ -10,9 +10,11 @@ import numpy as np
 
 from .hamiltonian import TWO_PI, RouterParams, _read_only, reduced_hamiltonians
 from .routing import (
+    _TOL,
     _TRANSFER,
     SuperpositionGrid,
     _axes,
+    _descend,
     _mean_fidelity,
     _probability,
     _worst_case,
@@ -40,8 +42,6 @@ _STATISTICS = {
     "average": lambda params, t, grid: average_fidelity(params, t, grid),
     "worst_case": lambda params, t, grid: min_fidelity(params, t, grid),
 }
-# ``refine``'s descent halves its steps until both are below _TOL.
-_TOL = 1e-4
 # ``_surface`` takes as many columns at once as fit in _PHASE_BYTES of phase tensor
 # ``exp(-i w t)`` (16 bytes an eigenvalue and a time; at least one column): 5 at 501 times.
 # Chunks of 5 to 21 columns took about the same time there, and only the smallest kept a
@@ -261,45 +261,12 @@ def find_peaks(surface: ScanSurface, threshold: float) -> list[PeakReport]:
     return sorted(peaks, key=lambda p: (-p.value, -p.width_product, p.location[0]))
 
 
-def _descend(f: Callable[[float, float], float], x: float, y: float, best: float,
-             bounds, step_x: float, step_y: float) -> tuple[float, float, float]:
-    """Step-halving coordinate descent on ``f`` from ``f(x, y) == best``; returns ``(x, y, best)``.
-
-    Each sweep tries ``+-step_x`` then ``+-step_y``, clamped to ``bounds =
-    ((x_lo, x_hi), (y_lo, y_hi))`` (a move the clamp leaves in place is
-    skipped), and keeps every move that lowers ``best``; a sweep without one
-    halves both steps, until both are below ``_TOL``.
-    """
-    # A clamped move takes the bound itself, so int bounds must not give int coordinates.
-    x_lo, x_hi, y_lo, y_hi = (float(b) for pair in bounds for b in pair)
-    while step_x >= _TOL or step_y >= _TOL:
-        improved = False
-        for d in (step_x, -step_x):
-            cand = x + d  # comparisons, not min(max()): builtin calls slowed this loop ~20%
-            cand = x_lo if cand < x_lo else x_hi if cand > x_hi else cand
-            if cand != x:
-                val = f(cand, y)
-                if val < best:
-                    x, best, improved = cand, val, True
-        for d in (step_y, -step_y):
-            cand = y + d
-            cand = y_lo if cand < y_lo else y_hi if cand > y_hi else cand
-            if cand != y:
-                val = f(x, cand)
-                if val < best:
-                    y, best, improved = cand, val, True
-        if not improved:
-            step_x *= 0.5
-            step_y *= 0.5
-    return x, y, best
-
-
 def refine(
     objective: Callable[[float, float], float],
     start: tuple[float, float],
     bounds: tuple[tuple[float, float], tuple[float, float]],
 ) -> RefineResult:
-    """Derivative-free coordinate ascent with step halving (``_descend``) within
+    """Derivative-free coordinate ascent with step halving (``routing._descend``) within
     ``bounds = ((t_min, t_max), (param_min, param_max))``.
 
     Accepted iterates never decrease the objective.  Each first step is a

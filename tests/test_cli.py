@@ -16,6 +16,7 @@ from qwrouter import (
     RouterParams,
     StaticNoiseFidelity,
     SuperpositionParams,
+    build_full_hamiltonian,
     build_reduced_hamiltonian,
     routing_fidelity,
     transition_probability,
@@ -63,6 +64,36 @@ class TestHamiltonianCommand:
         assert payload["kind"] == "full"
         assert payload["dim"] == 8
         assert len(payload["matrix"]) == 8
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("full", [True, False])
+    @pytest.mark.parametrize("beta, phi", [("0.3", "1.1"), ("1e-7", "3.141592653589793")])
+    def test_streamed_json_is_one_dump_byte_for_byte(self, runner, n, full, beta, phi):
+        # The matrix is written a row at a time; the text is still one json.dumps, also
+        # with exponents ("1e-07") and signed zeros among the entries.
+        params = RouterParams(n, float(beta), float(phi))
+        build = build_full_hamiltonian if full else build_reduced_hamiltonian
+        matrix = build(params).entries
+        payload = {"kind": "full" if full else "reduced", "n": n, "beta": params.beta,
+                   "phi": params.phi, "dim": matrix.shape[0],
+                   "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in matrix]}
+        result = runner.invoke(main, ["hamiltonian", "--n", str(n), "--beta", beta,
+                                      "--phi", phi, "--full" if full else "--reduced"])
+        assert result.exit_code == 0
+        assert result.output == json.dumps(payload, indent=2) + "\n"
+
+    def test_full_memory_is_a_few_matrices(self, runner, tmp_path):
+        # n = 255: a 512 x 512 complex matrix is 4 MiB, and its 11 MB of JSON are written
+        # a row at a time.  Building every entry as nested lists first traced 102 MiB.
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["hamiltonian", "--full", "--n", "255",
+                                          "--output", str(tmp_path / "h.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        assert peak <= 4 * 512 * 512 * 16
 
     def test_invalid_n_exits_2(self, runner):
         result = runner.invoke(main, ["hamiltonian", "--n", "1"])

@@ -396,6 +396,20 @@ class TestOUPaths:
             expected.append(x)
         np.testing.assert_array_equal(ou_sample_path(spec, 40, trajectory=2), expected)
 
+    def test_chain_variance_exceeds_the_drawn_law_by_2_over_2_minus_theta_dt(self):
+        # X_0 ~ N(mu, sigma^2 / (2 theta)), but the chain x + theta dt (mu - x) + sigma
+        # sqrt(dt) z is stationary at sigma^2 / (theta (2 - theta dt)): at theta dt = 0.5,
+        # 4/3 of the drawn variance.  After 40 steps (0.5^80 of the start remains) every
+        # path is a draw from the chain's law, so the sample variance sits within 4 stderr
+        # of it, and far from the drawn one.
+        spec = OUSpec(theta=1.0, sigma_vol=1.0, dt=0.5, trajectories=20_000, seed=5)
+        late = _phase_paths(spec, 0.3, 41)[:, -1]
+        chain = spec.sigma_vol**2 / (spec.theta * (2.0 - spec.theta * spec.dt))
+        assert chain == pytest.approx(4.0 / 3.0 * spec.stationary_variance)
+        stderr = chain * math.sqrt(2.0 / (late.size - 1))  # of a Gaussian sample variance
+        assert abs(late.var(ddof=1) - chain) <= 4.0 * stderr
+        assert late.var(ddof=1) - spec.stationary_variance > 10.0 * stderr
+
     @pytest.mark.parametrize("seed", [0, 777, 2**40])
     def test_rows_are_per_trajectory_philox_streams(self, seed):
         # Row r is the stream of its own Philox(key=seed, counter=index << 128),

@@ -26,7 +26,7 @@ from qwrouter import (
     target_state,
     transition_probability,
 )
-from qwrouter import routing, search
+from qwrouter import routing
 from qwrouter.cli import TABLE1_ROWS
 from qwrouter.routing import _TRANSFER, _axes, u_element_curve
 
@@ -387,14 +387,38 @@ def former_grid_start(u, grid):
     return float(grid.alphas()[i]), float(grid.chis()[j]), float(f[i, j])
 
 
+def descend_reference(objective, alpha, chi, best, step_alpha, step_chi):
+    """Step-halving coordinate descent, minimizing, written out apart from the library
+    (the loop of ``tests/test_search.py::refine_loop_reference``): each sweep tries
+    ``+-step_alpha`` in alpha, clamped to [0, 1], then ``+-step_chi`` in chi, unbounded,
+    and keeps every move that lowers ``best``; a sweep without one halves both steps,
+    until both are below 1e-4.  Returns the least value."""
+    tol = 1e-4
+    while step_alpha >= tol or step_chi >= tol:
+        improved = False
+        for d_alpha, d_chi in ((step_alpha, 0.0), (-step_alpha, 0.0),
+                               (0.0, step_chi), (0.0, -step_chi)):
+            cand_alpha = min(max(alpha + d_alpha, 0.0), 1.0) if d_alpha else alpha
+            cand_chi = chi + d_chi if d_chi else chi
+            if cand_alpha == alpha and cand_chi == chi:
+                continue
+            val = objective(cand_alpha, cand_chi)
+            if val < best:
+                alpha, chi, best = cand_alpha, cand_chi, val
+                improved = True
+        if not improved:
+            step_alpha *= 0.5
+            step_chi *= 0.5
+    return best
+
+
 def former_min_at(u, grid):
     """The worst case at one cell as the former ``routing._min_at`` took it: the grid
-    start, then ``_descend`` on ``_fidelity_at``."""
+    start, then ``descend_reference`` on ``_fidelity_at`` from one grid spacing."""
     alpha, chi, best = former_grid_start(u, grid)
     objective = partial(routing._fidelity_at, *u)
-    _, _, best = search._descend(objective, alpha, chi, min(best, objective(alpha, chi)),
-                                 ((0.0, 1.0), (-math.inf, math.inf)),
-                                 1.0 / max(grid.alpha_points - 1, 1), TWO_PI / grid.chi_points)
+    best = descend_reference(objective, alpha, chi, min(best, objective(alpha, chi)),
+                             1.0 / max(grid.alpha_points - 1, 1), TWO_PI / grid.chi_points)
     return routing._clamp01(best)
 
 
@@ -668,12 +692,32 @@ class TestLockstep:
     def test_matches_descend_per_cell(self, seed, grid, cells):
         # The 1x1, 3x2, 5x1 and 2x1 grids start many cells at alpha 1 or 0, where every
         # chi ties exactly; on the 2x1 grid every cell starts there.  Up to _SCALAR_TAIL
-        # cells descend one by one in _descend_cell.
+        # cells enter the lockstep together and go straight on to _descend.
         rng = np.random.default_rng(seed)
         params, _ = random_router(rng)
         u = u_element_curve(params, rng.uniform(0.0, 50.0, cells), *_TRANSFER)
         got = routing._worst_case(u, grid)
         assert got.tolist() == [former_min_at(c, grid) for c in u.T.tolist()]
+
+    def test_few_cells_enter_the_lockstep_once(self, monkeypatch):
+        # A scalar time and _SCALAR_TAIL cells take the one path of a whole surface: all
+        # enter the lockstep at once and go on to _descend without a lockstep sweep.
+        grid = SuperpositionGrid()
+        rng = np.random.default_rng(31)
+        params, _ = random_router(rng)
+        entered, sweeps = [], []
+        real = routing._lockstep
+        monkeypatch.setattr(routing, "_lockstep", lambda cells, *rest: (
+            entered.append(cells.shape[1]) or real(cells, *rest)))
+        monkeypatch.setattr(routing, "_sweep", sweeps.append)
+        t = float(rng.uniform(0.0, 50.0))
+        got = min_fidelity(params, t, grid)
+        assert got == former_min_at(u_element_curve(params, t, *_TRANSFER).tolist(), grid)
+        u = u_element_curve(params, rng.uniform(0.0, 50.0, routing._SCALAR_TAIL), *_TRANSFER)
+        got = routing._worst_case(u, grid)
+        assert got.tolist() == [former_min_at(c, grid) for c in u.T.tolist()]
+        assert entered == [1, routing._SCALAR_TAIL]
+        assert sweeps == []
 
     def test_objective_planes_match_scalar_bit_for_bit(self):
         # 20,000 points: the scalar objective once squared with ** 2, which
