@@ -77,9 +77,10 @@ def _hermitian_entries(h: HermitianMatrix | np.ndarray) -> np.ndarray:
     return arr
 
 
-def _unitaries(h: np.ndarray, t: float) -> np.ndarray:
-    """``exp(-i h t)`` for Hermitian ``h`` of shape ``(..., d, d)``, with any leading batch shape."""
-    w, q = np.linalg.eigh(h)
+def _unitaries(spectrum: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """``exp(-i h t)`` from ``spectrum = np.linalg.eigh(h)`` for Hermitian ``h`` of shape
+    ``(..., d, d)``, with any leading batch shape."""
+    w, q = spectrum
     t = _checked_times(t, w)
     return (q * np.exp(-1j * w * t)[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
@@ -115,7 +116,7 @@ def propagator(h: HermitianMatrix | np.ndarray, t: float) -> Propagator:
     Rejects a ``t`` that is non-finite or overflows a phase, and inputs whose
     conjugate asymmetry exceeds 1e-10.
     """
-    return Propagator(_unitaries(_hermitian_entries(h), t), t)
+    return Propagator(_unitaries(np.linalg.eigh(_hermitian_entries(h)), t), t)
 
 
 def evolve(h: HermitianMatrix | np.ndarray, t: float, psi0: PureState) -> PureState:
@@ -132,10 +133,11 @@ def verify_reduction(n_max: int, trials: int, rng: np.random.Generator) -> list[
     For each ``n = 2 .. n_max``, ``trials`` cases draw ``beta`` in [-2, 2),
     ``phi`` in [0, 2 pi), ``t`` in [0, 30) and a random reduced state, lift it
     through ``hamiltonian.reduction_isometry`` (looked up per call, so tests
-    can substitute a corrupted one), evolve it on the full graph, project it
-    back and compare with the reduced evolution.  Returns the largest
-    absolute amplitude deviation seen at each ``n``.  ``n_max`` is at most
-    1023, as in ``build_full_hamiltonian``.
+    can substitute a corrupted one), evolve it on the full graph (its own
+    ``eigh``), project it back and compare with the reduced evolution, which
+    comes from ``hamiltonian._reduced_spectra``.  Returns the largest absolute
+    amplitude deviation seen at each ``n``.  ``n_max`` is at most 1023, as in
+    ``build_full_hamiltonian``.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -152,12 +154,11 @@ def verify_reduction(n_max: int, trials: int, rng: np.random.Generator) -> list[
             t = rng.uniform(0.0, 30.0)
             params = RouterParams(n_outputs=n, beta=beta, phi=phi)
             raw = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            psi_red = PureState(raw / np.linalg.norm(raw))
-            full0 = isometry @ psi_red.amplitudes
-            full0 = PureState(full0 / np.linalg.norm(full0))
-            evolved_full = evolve(hamiltonian.build_full_hamiltonian(params), t, full0)
-            projected = isometry.conj().T @ evolved_full.amplitudes
-            evolved_red = evolve(hamiltonian.build_reduced_hamiltonian(params), t, psi_red)
-            worst = max(worst, float(np.max(np.abs(projected - evolved_red.amplitudes))))
+            psi_red = raw / np.linalg.norm(raw)
+            full0 = isometry @ psi_red
+            full = np.linalg.eigh(hamiltonian.build_full_hamiltonian(params).entries)
+            projected = isometry.conj().T @ _evolved(full, t, full0 / np.linalg.norm(full0))
+            red = hamiltonian._reduced_spectra(n, params.beta, params.phi)
+            worst = max(worst, float(np.max(np.abs(projected - _evolved(red, t, psi_red)))))
         worst_per_n.append(worst)
     return worst_per_n

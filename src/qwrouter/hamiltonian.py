@@ -191,6 +191,12 @@ def reduced_hamiltonians(n: int, beta, phis) -> np.ndarray:
     return h
 
 
+def _reduced_spectra(n: int, beta, phis) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.linalg.eigh`` of ``reduced_hamiltonians(n, beta, phis)``, shapes
+    ``(m, 6)`` and ``(m, 6, 6)``: the one place a reduced Hamiltonian is decomposed."""
+    return tuple(map(_read_only, np.linalg.eigh(reduced_hamiltonians(n, beta, phis))))
+
+
 def build_reduced_hamiltonian(params: RouterParams) -> HermitianMatrix:
     """Six-dimensional Hamiltonian of one router (see ``reduced_hamiltonians``)."""
     return HermitianMatrix(

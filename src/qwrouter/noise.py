@@ -57,7 +57,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .dynamics import PureState, _evolved, _unitaries
-from .hamiltonian import TWO_PI, RouterParams, _read_only, reduced_hamiltonians
+from .hamiltonian import TWO_PI, RouterParams, _read_only, _reduced_spectra
 from .routing import (
     DensityMatrix,
     SuperpositionParams,
@@ -280,11 +280,10 @@ def _nodes_and_weights(k: float, points: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)  # one curve uses at most 1 + _MAX_DOUBLINGS = 7 rules
 def _node_spectrum(params: RouterParams, k: float, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``np.linalg.eigh`` of ``H(phi + eps_p)`` at the nodes ``eps_p`` of the
+    """``_reduced_spectra`` of ``H(phi + eps_p)`` at the nodes ``eps_p`` of the
     ``points``-node rule for concentration ``k`` (``_nodes_and_weights``)."""
     eps = _nodes_and_weights(k, points)[0]
-    h = reduced_hamiltonians(params.n_outputs, params.beta, params.phi + eps)
-    return tuple(map(_read_only, np.linalg.eigh(h)))
+    return _reduced_spectra(params.n_outputs, params.beta, params.phi + eps)
 
 
 def _static_average(params: RouterParams, t: float, amps0: np.ndarray, k: float,
@@ -417,7 +416,7 @@ def _step_fourier(n: int, beta: float, dt: float) -> np.ndarray:
             "for the Fourier step; use a smaller dt"
         )
     phis = TWO_PI * np.arange(nodes) / nodes
-    u = _unitaries(reduced_hamiltonians(n, beta, phis), dt)
+    u = _unitaries(_reduced_spectra(n, beta, phis), dt)
     c = np.fft.fft(u.reshape(nodes, 36), axis=0) / nodes
     m = np.arange(1, cutoff + 1)
     return np.concatenate([c[:1], c[m] + c[-m], 1j * (c[m] - c[-m])]).view(float)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import PureState, _checked_times
-from .hamiltonian import TWO_PI, RouterParams, _read_only, build_reduced_hamiltonian
+from .hamiltonian import TWO_PI, RouterParams, _read_only, _reduced_spectra
 
 __all__ = [
     "SuperpositionParams",
@@ -131,7 +131,7 @@ class DensityMatrix:
 @lru_cache(maxsize=512)
 def _spectrum(params: RouterParams) -> tuple[np.ndarray, np.ndarray]:
     """Memoized eigendecomposition of the reduced Hamiltonian."""
-    return tuple(map(_read_only, np.linalg.eigh(build_reduced_hamiltonian(params).entries)))
+    return tuple(a[0] for a in _reduced_spectra(params.n_outputs, params.beta, params.phi))
 
 
 def elements(w: np.ndarray, q: np.ndarray, ts, *products) -> list[np.ndarray]:

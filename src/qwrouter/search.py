@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import TWO_PI, RouterParams, _read_only, reduced_hamiltonians
+from .hamiltonian import TWO_PI, RouterParams, _read_only, _reduced_spectra
 from .routing import (
     _TOL,
     _TRANSFER,
@@ -177,7 +177,7 @@ def _surface(n: int, betas: np.ndarray, phis: np.ndarray, ts: np.ndarray, object
     ``(n, betas[j], phis[j])`` (1-d arrays of one length): the ``objective`` and
     ``P16`` at each time of ``ts``.
 
-    Each chunk of columns (``_PHASE_BYTES``) takes one batched ``np.linalg.eigh``
+    Each chunk of columns (``_PHASE_BYTES``) takes one batched ``_reduced_spectra``
     and one ``elements`` call, whose phase tensor serves ``P16`` and the objective's
     elements alike.  ``localized`` and ``average`` reduce each chunk to fidelities
     at once; ``worst_case`` stacks the transfer elements of all cells and descends
@@ -189,7 +189,7 @@ def _surface(n: int, betas: np.ndarray, phis: np.ndarray, ts: np.ndarray, object
     chunk = max(1, _PHASE_BYTES // (96 * ts.size))
     for lo in range(0, betas.size, chunk):
         cols = slice(lo, lo + chunk)
-        w, q = np.linalg.eigh(reduced_hamiltonians(n, betas[cols], phis[cols]))
+        w, q = _reduced_spectra(n, betas[cols], phis[cols])
         u16, u = elements(w, q, ts, (5, 0), (3, 0) if objective == "localized" else _TRANSFER)
         wrong[:, cols] = _probability(u16).T
         if objective == "localized":

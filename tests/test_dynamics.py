@@ -72,7 +72,7 @@ def test_batched_kernels_match_single_matrices():
     # Leading batch shape (2, 3): every slice must equal its own propagator and evolution.
     h = reduced_hamiltonians(7, 1.3, np.linspace(0.0, 5.0, 6)).reshape(2, 3, 6, 6)
     psi = PureState(np.array([0.6, 0.8j, 0, 0, 0, 0]))
-    u = _unitaries(h, 2.9)
+    u = _unitaries(np.linalg.eigh(h), 2.9)
     states = _evolved(np.linalg.eigh(h), 2.9, psi.amplitudes)
     assert u.shape == (2, 3, 6, 6) and states.shape == (2, 3, 6)
     for i, j in np.ndindex(2, 3):
@@ -156,7 +156,7 @@ def test_kernels_reject_overflowing_phases(t):
     batch = h.entries[None]
     psi = basis_state(6, 0)
     for call in (lambda: propagator(h, t), lambda: evolve(h, t, psi),
-                 lambda: _unitaries(batch, t),
+                 lambda: _unitaries(np.linalg.eigh(batch), t),
                  lambda: _evolved(np.linalg.eigh(batch), t, psi.amplitudes)):
         with pytest.raises(ValueError, match="overflow"):
             call()

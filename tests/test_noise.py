@@ -556,7 +556,7 @@ class TestFourierStep:
         angles = np.outer(phis, np.arange(1, cutoff + 1))
         got = (table[0] + np.einsum("pm,mij->pij", np.cos(angles), table[1:cutoff + 1])
                + np.einsum("pm,mij->pij", np.sin(angles), table[cutoff + 1:]))
-        expected = _unitaries(reduced_hamiltonians(n, beta, phis), dt)
+        expected = _unitaries(np.linalg.eigh(reduced_hamiltonians(n, beta, phis)), dt)
         assert float(np.max(np.abs(got - expected))) <= 1e-13
 
     def test_snapshots_come_back_in_order(self):
