@@ -58,6 +58,8 @@ TABLE1_ROWS = (
 )
 
 _CHI_DEFAULT = 3.0 * math.pi / 2.0
+# The flags that only one noise model reads.
+_MODEL_FLAGS = {"vonmises": ("k",), "ou": ("theta", "sigma", "mu", "dt", "trajectories", "seed")}
 _GRID_HELP = ("{} points of the superposition grid: the average is taken over it, and the "
               "worst case's descent starts from its minimum, which is an upper bound.")
 
@@ -364,13 +366,21 @@ def _vonmises_rows(params: RouterParams, sp: SuperpositionParams, vm: VonMisesSp
 @click.option("--trajectories", type=int, default=2000, show_default=True)
 @click.option("--seed", type=int, default=777, show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
-def noise_cmd(model, n, beta, phi, alpha, chi, t_max, t_steps, k, theta, sigma, mu,
+@click.pass_context
+def noise_cmd(ctx, model, n, beta, phi, alpha, chi, t_max, t_steps, k, theta, sigma, mu,
               dt, trajectories, seed, output):
     """Noisy fidelity curve as CSV rows ``t,fidelity,stderr``.
 
     The stderr column is filled for the trajectory-averaged (ou) model and
-    empty for the quadrature-averaged (vonmises) model.
+    empty for the quadrature-averaged (vonmises) model.  A flag of the other
+    model exits 2; the config file's ``noise`` section may set both models' keys.
     """
+    other = "ou" if model == "vonmises" else "vonmises"
+    given = [f"--{name}" for name in _MODEL_FLAGS[other]
+             if ctx.get_parameter_source(name) is click.core.ParameterSource.COMMANDLINE]
+    if given:
+        raise click.UsageError(f"the {model} model does not read {', '.join(given)}, "
+                               f"which only the {other} model reads")
     params = RouterParams(n_outputs=n, beta=beta, phi=phi)
     if t_steps < 2:
         raise click.UsageError("t-steps must be >= 2")

@@ -193,8 +193,14 @@ def reduced_hamiltonians(n: int, beta, phis) -> np.ndarray:
 
 def _reduced_spectra(n: int, beta, phis) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``np.linalg.eigh`` of ``reduced_hamiltonians(n, beta, phis)``, shapes
-    ``(m, 6)`` and ``(m, 6, 6)``: the one place a reduced Hamiltonian is decomposed."""
-    return tuple(map(_read_only, np.linalg.eigh(reduced_hamiltonians(n, beta, phis))))
+    ``(m, 6)`` and ``(m, 6, 6)``: the one place a reduced Hamiltonian is decomposed.
+    A failed decomposition raises ``ValueError`` naming ``n`` and the stack's ranges."""
+    try:
+        return tuple(map(_read_only, np.linalg.eigh(reduced_hamiltonians(n, beta, phis))))
+    except np.linalg.LinAlgError as exc:
+        span = lambda x: f"[{float(np.min(x))!r}, {float(np.max(x))!r}]"
+        raise ValueError(f"no eigendecomposition of the reduced Hamiltonian at n={n}, beta in "
+                         f"{span(beta)}, phi in {span(phis)}: {exc}") from None
 
 
 def build_reduced_hamiltonian(params: RouterParams) -> HermitianMatrix:

@@ -444,8 +444,9 @@ def _evolve_ensemble(
 ) -> np.ndarray:
     """Batched piecewise-constant evolution of all trajectories.
 
-    The phase reverts to ``spec.mu``, or to the router's phase when that is
-    None.  Each step applies ``U(X_b, dt) = A_0 + sum_m cos(m X_b) A_m +
+    The phase reverts to ``spec.mu`` reduced modulo ``2 pi``, as ``RouterParams``
+    reduces ``phi`` (else ``X_0 = mu + sqrt(var) z`` rounds to a huge ``mu`` and the
+    noise vanishes), or to the router's phase when that is None.  Each step applies ``U(X_b, dt) = A_0 + sum_m cos(m X_b) A_m +
     sin(m X_b) B_m`` (see ``_step_fourier``): one recurrence for the powers
     ``e^{i m X_b}``, ``m = 1..M``, whose real and imaginary parts go under a
     row of ones, one real GEMM of those ``2M + 1`` rows against the table, then
@@ -460,7 +461,7 @@ def _evolve_ensemble(
     """
     if spec.trajectories < 2:
         raise ValueError("need at least 2 trajectories for ensemble statistics")
-    mu = params.phi if spec.mu is None else spec.mu
+    mu = params.phi if spec.mu is None else spec.mu % TWO_PI
     total_steps = snapshots[-1]
     column = {step: j for j, step in enumerate(snapshots)}
     if total_steps > 0:

@@ -415,6 +415,44 @@ class TestNoiseCommand:
         assert len(result.stdout.strip().split("\n")) == 1 + 101
         assert result.stderr == ""
 
+    @pytest.mark.parametrize("model, flag", [
+        *[("vonmises", flag) for flag in ("--theta", "--sigma", "--mu", "--dt",
+                                           "--trajectories", "--seed")],
+        ("ou", "--k"),
+    ])
+    def test_flag_of_the_other_model_exits_2(self, runner, model, flag):
+        # Even a flag's default value, given on the command line, is refused.
+        default = {"--theta": "1", "--sigma": "0.4", "--mu": "0", "--dt": "0.01",
+                   "--trajectories": "2000", "--seed": "777", "--k": "2"}[flag]
+        args = ["noise", model, "--n", "5", "--t-max", "0.05", "--t-steps", "3", flag, default]
+        result = runner.invoke(main, args + (["--k", "1"] if model == "vonmises" else []))
+        assert result.exit_code == 2
+        other = "ou" if model == "vonmises" else "vonmises"
+        assert result.stderr.splitlines()[-1] == (
+            f"Error: the {model} model does not read {flag}, which only the {other} model reads")
+
+    def test_config_may_set_either_models_keys(self, runner, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"noise": {"k": 2.0, "trajectories": 3, "seed": 5}}))
+        args = ["noise", "{}", "--n", "5", "--t-max", "0.05", "--t-steps", "3"]
+        for model, flags in (("ou", ["--trajectories", "3", "--seed", "5"]),
+                             ("vonmises", ["--k", "2"])):
+            argv = [model if a == "{}" else a for a in args]
+            configured = runner.invoke(main, ["--config", str(cfg)] + argv)
+            assert configured.exit_code == 0, configured.output
+            assert configured.stdout == runner.invoke(main, argv + flags).stdout
+
+    def test_ou_huge_mu_is_reduced_modulo_two_pi(self, runner):
+        # X_0 = mu + sqrt(var) z would round to mu = 1e300: every trajectory the same.
+        args = ["noise", "ou", "--n", "20", "--phi", "4.712", "--trajectories", "200",
+                "--t-max", "1", "--t-steps", "3", "--mu"]
+        huge = runner.invoke(main, args + ["1e300"])
+        reduced = runner.invoke(main, args + [repr(1e300 % (2.0 * math.pi))])
+        assert huge.exit_code == 0 and reduced.exit_code == 0
+        assert huge.stdout == reduced.stdout
+        stderrs = [float(line.split(",")[2]) for line in huge.stdout.splitlines()[2:]]
+        assert len(stderrs) == 2 and min(stderrs) > 1e-4
+
     def test_ou_seeded_runs_identical(self, runner):
         args = ["noise", "ou", "--n", "8", "--trajectories", "20",
                 "--t-max", "1", "--t-steps", "4", "--seed", "99"]
@@ -544,6 +582,23 @@ INVALID_INPUTS = [
        f"2048; got {n}") for n in ("1024", "1000000")],
     (["optimize", "--n", "20", "--t0", "18.4", "--param0", "4.70", "--t-max", "inf"],
      "bounds and their span t_max - t_min must be finite, got t_min = 0.0, t_max = inf"),
+    # LAPACK cannot decompose weights this large; the error names the inputs.
+    (["scan", "weight", "--n", "5", "--t-steps", "2", "--param-steps", "2", "--param-min",
+      "1e300", "--param-max", "1.7e308"],
+     "no eigendecomposition of the reduced Hamiltonian at n=5, beta in [1e+300, 1.7e+308], "
+     "phi in [0.0, 0.0]: Eigenvalues did not converge"),
+    (["optimize", "--n", "5", "--t0", "1", "--param0", "1e300", "--kind", "weight",
+      "--param-max", "1.7e308"],
+     "no eigendecomposition of the reduced Hamiltonian at n=5, beta in [1e+300, 1e+300], "
+     "phi in [0.0, 0.0]: Eigenvalues did not converge"),
+    # A flag that the chosen noise model would ignore, valid or not.
+    (["noise", "vonmises", "--n", "5", "--k", "1", "--t-max", "0.1", "--t-steps", "2",
+      "--trajectories", "1", "--dt", "-3", "--seed", "5"],
+     "the vonmises model does not read --dt, --trajectories, --seed, which only the ou "
+     "model reads"),
+    (["noise", "ou", "--n", "5", "--trajectories", "3", "--t-max", "0.05", "--t-steps", "3",
+      "--k", "-5"],
+     "the ou model does not read --k, which only the vonmises model reads"),
 ]
 
 

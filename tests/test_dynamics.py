@@ -14,6 +14,7 @@ from qwrouter import (
     propagator,
     reduced_hamiltonians,
     reduction_isometry,
+    verify_reduction,
 )
 from qwrouter.dynamics import _evolved, _unitaries
 
@@ -162,3 +163,33 @@ def test_kernels_reject_overflowing_phases(t):
             call()
     # A tenth of that time keeps every phase finite, and the propagator unitary.
     assert propagator(h, t / 10).dim == 6
+
+
+def verify_reduction_loop_reference(n_max, trials, rng):
+    """``verify_reduction`` as a loop of public ``evolve`` calls, one ``PureState`` and
+    one ``HermitianMatrix`` per side and trial, drawing from ``rng`` in the same order."""
+    worst_per_n = []
+    for n in range(2, n_max + 1):
+        isometry = reduction_isometry(n)
+        worst = 0.0
+        for _ in range(trials):
+            beta = rng.uniform(-2.0, 2.0)
+            phi = rng.uniform(0.0, TWO_PI)
+            t = rng.uniform(0.0, 30.0)
+            params = RouterParams(n_outputs=n, beta=beta, phi=phi)
+            raw = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            psi_red = PureState(raw / np.linalg.norm(raw))
+            full0 = isometry @ psi_red.amplitudes
+            full0 = PureState(full0 / np.linalg.norm(full0))
+            evolved_full = evolve(build_full_hamiltonian(params), t, full0)
+            projected = isometry.conj().T @ evolved_full.amplitudes
+            evolved_red = evolve(build_reduced_hamiltonian(params), t, psi_red)
+            worst = max(worst, float(np.max(np.abs(projected - evolved_red.amplitudes))))
+        worst_per_n.append(worst)
+    return worst_per_n
+
+
+@pytest.mark.parametrize("seed", [0, 1234])
+def test_verify_reduction_matches_evolve_loop_bitwise(seed):
+    got = verify_reduction(8, 20, np.random.default_rng(seed))
+    assert got == verify_reduction_loop_reference(8, 20, np.random.default_rng(seed))

@@ -1,6 +1,5 @@
-"""The seed-0 benchmark operations that run the worst-case descent, against their
-golden records: a change to the descent's values fails here, not only in the
-benchmark.
+"""Every seed-0 benchmark operation against its golden record: a change to any
+recorded output fails here, not only in the benchmark.
 
 Each operation runs in process through click's test runner and is checked by
 ``perfbench/checks.py`` against ``perfbench/golden.json``, both read only.
@@ -23,11 +22,7 @@ _spec.loader.exec_module(checks)
 GOLDEN = json.loads((BENCH / "golden.json").read_text())["ops"]
 
 
-@pytest.mark.parametrize("key", [
-    "scan weight --n 50 --objective worst_case --t-steps 101 --param-steps 81",
-    "optimize --n 20 --t0 18.4 --param0 4.70 --objective worst_case",
-    "table1 --row all",
-])
+@pytest.mark.parametrize("key", list(GOLDEN))
 def test_matches_golden_record(key):
     argv = key.split()
     result = CliRunner().invoke(main, argv)

@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +14,11 @@ from qwrouter import (
     build_full_hamiltonian,
     build_reduced_hamiltonian,
     reduced_hamiltonians,
+    propagator,
     reduction_isometry,
 )
+from qwrouter import noise, routing
+from qwrouter.cli import main
 
 TWO_PI = 2.0 * np.pi
 
@@ -259,6 +265,70 @@ def test_mixed_stacks_match_single_builder_bitwise(n, pairs):
 def test_reduced_hamiltonians_reject_other_shapes(beta, phis):
     with pytest.raises(ValueError, match="beta and phis"):
         reduced_hamiltonians(20, beta, phis)
+
+
+class TestReducedSpectra:
+    """``hamiltonian._reduced_spectra``, the one place a reduced Hamiltonian is decomposed."""
+
+    def test_is_the_read_only_eigh_of_the_stack(self):
+        phis = np.linspace(0.0, 6.0, 7)
+        w, q = hamiltonian._reduced_spectra(20, 1.3, phis)
+        ew, eq = np.linalg.eigh(reduced_hamiltonians(20, 1.3, phis))
+        assert w.shape == (7, 6) and q.shape == (7, 6, 6)
+        assert w.tobytes() == ew.tobytes() and q.tobytes() == eq.tobytes()
+        assert not w.flags.writeable and not q.flags.writeable
+
+    def test_one_router_equals_its_lone_matrix_bitwise(self):
+        # A one-router stack decomposes as the 6x6 matrix alone did before.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            p = RouterParams(int(rng.integers(2, 10**6)), rng.uniform(-40.0, 40.0),
+                             rng.uniform(0.0, TWO_PI))
+            w, q = hamiltonian._reduced_spectra(p.n_outputs, p.beta, p.phi)
+            ew, eq = np.linalg.eigh(build_reduced_hamiltonian(p).entries)
+            assert w[0].tobytes() == ew.tobytes() and q[0].tobytes() == eq.tobytes()
+
+    def test_failed_decomposition_names_its_inputs(self):
+        with pytest.raises(ValueError) as info:
+            hamiltonian._reduced_spectra(5, np.array([1e300, 1.7e308]), np.array([0.25, 1.5]))
+        assert type(info.value) is ValueError  # not numpy's LinAlgError subclass
+        assert str(info.value) == ("no eigendecomposition of the reduced Hamiltonian at n=5, "
+                                   "beta in [1e+300, 1.7e+308], phi in [0.25, 1.5]: "
+                                   "Eigenvalues did not converge")
+
+
+def test_every_reduced_decomposition_goes_through_reduced_spectra(monkeypatch):
+    real = np.linalg.eigh
+    callers = []
+
+    def traced(a, *args, **kwargs):
+        if np.shape(a)[-2:] == (6, 6):
+            frame = sys._getframe(1)
+            callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", traced)
+    # The tracer sees a 6x6 decomposition made elsewhere: a generic propagator.
+    propagator(build_reduced_hamiltonian(RouterParams(5)), 1.0)
+    assert callers == [("qwrouter.dynamics", "propagator")]
+    commands = [
+        *[["scan", "weight", "--n", "5", "--t-steps", "3", "--param-steps", "3",
+           "--objective", objective] for objective in ("localized", "average", "worst_case")],
+        ["optimize", "--n", "20", "--t0", "18.4", "--param0", "4.70"],
+        ["table1", "--row", "20"],
+        ["noise", "vonmises", "--n", "20", "--phi", "4.712", "--k", "12.5", "--t-max", "2",
+         "--t-steps", "3"],
+        ["noise", "ou", "--n", "20", "--phi", "4.712", "--trajectories", "4", "--t-max", "0.1",
+         "--t-steps", "3"],
+    ]
+    for argv in commands:
+        routing._spectrum.cache_clear()
+        noise._node_spectrum.cache_clear()
+        callers.clear()
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        assert callers, argv
+        assert set(callers) == {("qwrouter.hamiltonian", "_reduced_spectra")}, argv
 
 
 def test_package_exports():
