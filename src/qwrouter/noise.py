@@ -446,12 +446,13 @@ def _evolve_ensemble(
 
     The phase reverts to ``spec.mu`` reduced modulo ``2 pi``, as ``RouterParams``
     reduces ``phi`` (else ``X_0 = mu + sqrt(var) z`` rounds to a huge ``mu`` and the
-    noise vanishes), or to the router's phase when that is None.  Each step applies ``U(X_b, dt) = A_0 + sum_m cos(m X_b) A_m +
-    sin(m X_b) B_m`` (see ``_step_fourier``): one recurrence for the powers
-    ``e^{i m X_b}``, ``m = 1..M``, whose real and imaginary parts go under a
-    row of ones, one real GEMM of those ``2M + 1`` rows against the table, then
-    one batched 6x6 matrix-vector product.  The scratch is ``harmonics x rows``
-    floats plus ``M x rows`` complex powers, at most 4095 x 513 and 2047 x 513
+    noise vanishes), or to the router's phase when that is None.  Each step
+    applies ``U(X_b, dt) = A_0 + sum_m cos(m X_b) A_m + sin(m X_b) B_m`` (see
+    ``_step_fourier``): one recurrence for the powers ``e^{i m X_b}``,
+    ``m = 1..M``, whose real and imaginary parts go under a row of ones, one
+    real GEMM of those ``2M + 1`` rows against the table, then one batched 6x6
+    matrix-vector product.  The scratch is ``harmonics x rows`` floats plus
+    ``M x rows`` complex powers, at most 4095 x 513 and 2047 x 513
     (about 34 MB together) at the ``|beta| dt`` limit of about 560.
     Trajectories evolve in blocks (``_blocks``), and only ``observe`` of a
     block's ``(rows, 6)`` state stack is kept: entry ``[j, b]`` of the result

@@ -415,22 +415,6 @@ class TestNoiseCommand:
         assert len(result.stdout.strip().split("\n")) == 1 + 101
         assert result.stderr == ""
 
-    @pytest.mark.parametrize("model, flag", [
-        *[("vonmises", flag) for flag in ("--theta", "--sigma", "--mu", "--dt",
-                                           "--trajectories", "--seed")],
-        ("ou", "--k"),
-    ])
-    def test_flag_of_the_other_model_exits_2(self, runner, model, flag):
-        # Even a flag's default value, given on the command line, is refused.
-        default = {"--theta": "1", "--sigma": "0.4", "--mu": "0", "--dt": "0.01",
-                   "--trajectories": "2000", "--seed": "777", "--k": "2"}[flag]
-        args = ["noise", model, "--n", "5", "--t-max", "0.05", "--t-steps", "3", flag, default]
-        result = runner.invoke(main, args + (["--k", "1"] if model == "vonmises" else []))
-        assert result.exit_code == 2
-        other = "ou" if model == "vonmises" else "vonmises"
-        assert result.stderr.splitlines()[-1] == (
-            f"Error: the {model} model does not read {flag}, which only the {other} model reads")
-
     def test_config_may_set_either_models_keys(self, runner, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"noise": {"k": 2.0, "trajectories": 3, "seed": 5}}))
@@ -591,11 +575,15 @@ INVALID_INPUTS = [
       "--param-max", "1.7e308"],
      "no eigendecomposition of the reduced Hamiltonian at n=5, beta in [1e+300, 1e+300], "
      "phi in [0.0, 0.0]: Eigenvalues did not converge"),
-    # A flag that the chosen noise model would ignore, valid or not.
+    # A flag that the chosen noise model would ignore, valid or not, even at its default.
     (["noise", "vonmises", "--n", "5", "--k", "1", "--t-max", "0.1", "--t-steps", "2",
       "--trajectories", "1", "--dt", "-3", "--seed", "5"],
      "the vonmises model does not read --dt, --trajectories, --seed, which only the ou "
      "model reads"),
+    *[(["noise", "vonmises", "--n", "5", "--k", "1", flag, default],
+       f"the vonmises model does not read {flag}, which only the ou model reads")
+      for flag, default in (("--theta", "1"), ("--sigma", "0.4"), ("--mu", "0"),
+                            ("--dt", "0.01"), ("--trajectories", "2000"), ("--seed", "777"))],
     (["noise", "ou", "--n", "5", "--trajectories", "3", "--t-max", "0.05", "--t-steps", "3",
       "--k", "-5"],
      "the ou model does not read --k, which only the vonmises model reads"),

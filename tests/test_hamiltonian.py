@@ -13,8 +13,8 @@ from qwrouter import (
     RouterParams,
     build_full_hamiltonian,
     build_reduced_hamiltonian,
-    reduced_hamiltonians,
     propagator,
+    reduced_hamiltonians,
     reduction_isometry,
 )
 from qwrouter import noise, routing
@@ -279,7 +279,7 @@ class TestReducedSpectra:
         assert not w.flags.writeable and not q.flags.writeable
 
     def test_one_router_equals_its_lone_matrix_bitwise(self):
-        # A one-router stack decomposes as the 6x6 matrix alone did before.
+        # A one-router stack decomposes bit for bit as its lone 6x6 matrix.
         rng = np.random.default_rng(5)
         for _ in range(200):
             p = RouterParams(int(rng.integers(2, 10**6)), rng.uniform(-40.0, 40.0),
