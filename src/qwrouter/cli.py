@@ -416,14 +416,11 @@ def noise_cmd(ctx, model, n, beta, phi, alpha, chi, t_max, t_steps, k, theta, si
             )
         except MemoryError:
             steps = round(t_max / spec.dt)
-            rows, block = min(t_steps, steps + 1), min(trajectories, _TRAJECTORY_BLOCK + 1)
+            block = min(trajectories, _TRAJECTORY_BLOCK + 1)
             raise click.UsageError(
-                f"the fidelity table (up to {rows} snapshot times from --t-steps {t_steps} "
-                f"x --trajectories {trajectories}: {8 * rows * trajectories:.3g} bytes) or "
                 f"one block's phase paths (round(--t-max / --dt) = {steps} steps x up to "
                 f"{block} trajectories: {8 * steps * block:.3g} bytes) does not fit in "
-                "memory; lower --t-steps or --trajectories for the table, or --t-max or "
-                "raise --dt for the paths"
+                "memory; lower --t-max or raise --dt"
             )
         if len(times) < t_steps:
             click.echo(f"warning: {t_steps} snapshot times requested but only "

@@ -26,8 +26,11 @@ integrated by the Euler–Maruyama rule with stationary initial conditions
 random stream (Philox keyed by the seed, counter ``[0, 0, index, 0]``), so
 ensembles are reproducible and independent of evaluation order or batching.
 The ensemble evolves in blocks of ``_TRAJECTORY_BLOCK = 512`` trajectories
-and keeps only what its caller reads, so a fidelity curve retains 8 bytes
-per trajectory and snapshot plus one block's ``steps x 512`` path floats.
+and hands each block's states to its caller, so a fidelity curve retains one
+block's ``steps x 512`` path floats plus a few floats per snapshot: its
+statistics are running sums, whatever the number of trajectories.  A run may
+take at most ``_MAX_TRAJECTORY_STEPS = 10**12`` trajectory-steps (about three
+days at 0.2-0.3 us each); a larger request is rejected before any block evolves.
 
 The phase enters the Hamiltonian only through the link term,
 ``H(phi) = H0 + beta (e^{-i phi} E + e^{i phi} E^dag)`` with ``E = |2><3|``,
@@ -88,6 +91,7 @@ _QUADRATURE_TOL = 1e-8
 _ROUNDOFF = 2.0**-53  # float64 unit roundoff: the Fourier step's tail target
 _MAX_PHASE_NODES = 4096  # Fourier-step phase nodes: |beta| dt up to about 560
 _TRAJECTORY_BLOCK = 512  # trajectories evolved together (bounds paths and states)
+_MAX_TRAJECTORY_STEPS = 10**12  # trajectories x steps of one run: about three days
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,11 @@ class EnsembleState(DensityMatrix):
         """Mean fidelity against a pure target and its Monte Carlo standard error."""
         if target.dim != self.dim:
             raise ValueError("target dimension mismatch")
-        return _mean_and_stderr(_fidelities(self.trajectory_states, target.amplitudes.conj()))
+        f = _fidelities(self.trajectory_states, target.amplitudes.conj())
+        sums = np.zeros(2)
+        _add_deviations(sums, f - f[0])
+        mean, stderr = _mean_and_stderr(f.size, f[0], sums)
+        return float(mean), float(stderr)
 
 
 def _fidelities(states: np.ndarray, w_conj: np.ndarray) -> np.ndarray:
@@ -211,11 +219,30 @@ def _fidelities(states: np.ndarray, w_conj: np.ndarray) -> np.ndarray:
     return np.abs(states @ w_conj) ** 2
 
 
-def _mean_and_stderr(f: np.ndarray) -> tuple[float, float]:
-    """Mean of the per-trajectory fidelities ``f`` and its Monte Carlo standard error."""
-    if f.size < 2:
+def _add_deviations(sums: np.ndarray, d: np.ndarray) -> None:
+    """Add the deviations ``d`` to the running ``sums = [sum d, sum d**2]``.
+
+    ``np.cumsum`` over the carried sum followed by ``d`` adds strictly in
+    trajectory order, so the sums' bits do not depend on how the trajectories
+    are split into blocks.
+    """
+    sums[0] = np.cumsum(np.concatenate((sums[:1], d)))[-1]
+    sums[1] = np.cumsum(np.concatenate((sums[1:], d * d)))[-1]
+
+
+def _mean_and_stderr(count: int, shift, sums: np.ndarray):
+    """Mean of ``count`` per-trajectory fidelities and its Monte Carlo standard error,
+    from the sums ``sums[..., :] = [sum d, sum d**2]`` of their deviations ``d = f - shift``.
+
+    ``shift`` is trajectory 0's fidelity: shifting by a sample keeps the
+    one-pass variance free of cancellation, and identical fidelities give a
+    standard error of exactly 0.
+    """
+    if count < 2:
         raise ValueError("standard error undefined for fewer than 2 trajectories")
-    return float(f.mean()), float(f.std(ddof=1) / math.sqrt(f.size))
+    total, squares = sums[..., 0], sums[..., 1]
+    variance = np.maximum(squares - total * total / count, 0.0) / (count - 1)
+    return shift + total / count, np.sqrt(variance / count)
 
 
 def _mixture(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -435,13 +462,32 @@ def _blocks(count: int) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
+def _step_count(t: float, spec: OUSpec, name: str) -> int:
+    """``round(t / spec.dt)``, the steps of an ensemble run to time ``t``.
+
+    Rejects a step count that is not finite, and a run of more than
+    ``_MAX_TRAJECTORY_STEPS`` trajectories x steps: without a table to allocate,
+    nothing else would stop an oversized request before it ran for days.
+    """
+    steps = t / spec.dt
+    request = (f"got trajectories = {spec.trajectories}, {name} = {t!r}, "
+               f"dt = {spec.dt!r}")
+    if not math.isfinite(steps):
+        raise ValueError(f"{name} / dt must be a finite number of steps, {request}")
+    steps = int(round(steps))
+    if spec.trajectories * steps > _MAX_TRAJECTORY_STEPS:
+        raise ValueError(f"trajectories x round({name} / dt) must be at most "
+                         f"{_MAX_TRAJECTORY_STEPS:.0e} trajectory-steps, {request}")
+    return steps
+
+
 def _evolve_ensemble(
     params: RouterParams,
     psi0: np.ndarray,
     spec: OUSpec,
     snapshots: Sequence[int],
-    observe: Callable[[np.ndarray], np.ndarray] = lambda states: states,
-) -> np.ndarray:
+    visit: Callable[[int, int, int, np.ndarray], None],
+) -> None:
     """Batched piecewise-constant evolution of all trajectories.
 
     The phase reverts to ``spec.mu`` reduced modulo ``2 pi``, as ``RouterParams``
@@ -454,27 +500,27 @@ def _evolve_ensemble(
     matrix-vector product.  The scratch is ``harmonics x rows`` floats plus
     ``M x rows`` complex powers, at most 4095 x 513 and 2047 x 513
     (about 34 MB together) at the ``|beta| dt`` limit of about 560.
-    Trajectories evolve in blocks (``_blocks``), and only ``observe`` of a
-    block's ``(rows, 6)`` state stack is kept: entry ``[j, b]`` of the result
-    is trajectory ``b``'s row of ``observe`` at the ``j``-th of the
-    increasing step indices ``snapshots``.  The table is allocated before any
-    block evolves; by default it holds the states.
+    Trajectories evolve in blocks (``_blocks``), in order, and nothing outlives
+    a block but what ``visit`` keeps: at the ``j``-th of the increasing step
+    indices ``snapshots``, ``visit(j, lo, hi, states)`` receives the ``(hi - lo,
+    6)`` states of trajectories ``lo .. hi - 1``.  So a run retains one block's
+    ``steps x 512`` path floats; callers take the step count from
+    ``_step_count``, which bounds trajectories x steps.
     """
     if spec.trajectories < 2:
         raise ValueError("need at least 2 trajectories for ensemble statistics")
     mu = params.phi if spec.mu is None else spec.mu % TWO_PI
     total_steps = snapshots[-1]
-    column = {step: j for j, step in enumerate(snapshots)}
     if total_steps > 0:
         coeffs = _step_fourier(params.n_outputs, params.beta, spec.dt)
         harmonics = coeffs.shape[0]
         cutoff = (harmonics - 1) // 2
-    probe = observe(psi0[None])  # only for the table's trailing shape and dtype
-    table = np.empty((len(snapshots), spec.trajectories) + probe.shape[1:], probe.dtype)
     for lo, hi in _blocks(spec.trajectories):
         psi = np.broadcast_to(psi0, (hi - lo, psi0.shape[0])).copy()
-        if 0 in column:
-            table[0, lo:hi] = observe(psi)
+        snap = 0  # index of the next snapshot
+        if snapshots[0] == 0:
+            visit(0, lo, hi, psi)
+            snap = 1
         if total_steps == 0:
             continue
         # trig = [1; cos(m X_b); sin(m X_b)] for m = 1..M from powers[m - 1, b] = e^{i m X_b}.
@@ -490,11 +536,11 @@ def _evolve_ensemble(
                 trig[cutoff + 1:] = powers.imag
             step = (trig.T @ coeffs).view(complex).reshape(-1, 6, 6)
             psi = np.einsum("bij,bj->bi", step, psi)
-            if m + 1 in column:
-                table[column[m + 1], lo:hi] = observe(psi)
+            if m + 1 == snapshots[snap]:
+                visit(snap, lo, hi, psi)
+                snap += 1
         # Free this block's paths and scratch before the next block draws its own.
         del paths, trig, powers, step
-    return table
 
 
 def ou_ensemble_state(
@@ -508,7 +554,13 @@ def ou_ensemble_state(
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and >= 0")
-    (states,) = _evolve_ensemble(params, psi0.amplitudes, spec, [int(round(t / spec.dt))])
+    steps = _step_count(t, spec, "t")
+    states = np.empty((spec.trajectories, psi0.dim), dtype=complex)
+
+    def keep(j: int, lo: int, hi: int, block: np.ndarray) -> None:
+        states[lo:hi] = block
+
+    _evolve_ensemble(params, psi0.amplitudes, spec, [steps], keep)
     return EnsembleState(_mixture(states, np.full(len(states), 1.0 / len(states))), states)
 
 
@@ -537,22 +589,31 @@ def ou_fidelity_curve(
     """Ensemble fidelity versus time in one pass over the trajectories.
 
     Snapshot times are the requested uniform grid snapped to whole steps of
-    ``spec.dt``; returns ``(times, fidelity, stderr)``.  Only the
-    ``(snapshots, trajectories)`` fidelity table is retained, so a request
-    too large for memory raises ``MemoryError`` before any step is taken.
+    ``spec.dt``; returns ``(times, fidelity, stderr)``.  Each block's
+    fidelities go into running sums per snapshot (``_add_deviations``), so
+    besides one block's ``steps x 512`` path floats only a few floats per
+    snapshot are retained, and the result is the ``fidelity_with_stderr`` of
+    ``ou_ensemble_state`` at each snapshot, bit for bit.  Trajectories x steps
+    may be at most ``_MAX_TRAJECTORY_STEPS``.
     """
     if not (math.isfinite(float(t_max)) and t_max > 0.0):
         raise ValueError("t_max must be positive")
     snapshots = int(snapshots)
     if not 2 <= snapshots <= sys.float_info.max:
         raise ValueError(f"snapshots must be >= 2 and at most {sys.float_info.max!r}")
-    total_steps = int(round(t_max / spec.dt))
+    total_steps = _step_count(float(t_max), spec, "t_max")
     if total_steps < 1:
         raise ValueError("t_max must span at least one step of dt")
     wanted = _snapshot_steps(t_max, spec.dt, snapshots, total_steps)
     w_conj = target.amplitudes.conj()
-    table = _evolve_ensemble(params, psi0.amplitudes, spec, wanted,
-                             lambda states: _fidelities(states, w_conj))
-    stats = np.array([_mean_and_stderr(f) for f in table])
-    return np.array(wanted) * spec.dt, stats[:, 0], stats[:, 1]
+    shifts, sums = np.empty(len(wanted)), np.zeros((len(wanted), 2))
+
+    def add(j: int, lo: int, hi: int, states: np.ndarray) -> None:
+        f = _fidelities(states, w_conj)
+        if lo == 0:
+            shifts[j] = f[0]
+        _add_deviations(sums[j], f - shifts[j])
+
+    _evolve_ensemble(params, psi0.amplitudes, spec, wanted, add)
+    return (np.array(wanted) * spec.dt, *_mean_and_stderr(spec.trajectories, shifts, sums))
 

@@ -70,7 +70,7 @@ class ScanGrid:
                 raise ValueError(f"{name}: bounds and their span max - min must be finite, "
                                  f"got {lo!r} to {hi!r}")
             if not float(lo) < float(hi):
-                raise ValueError(f"{name}: min must be < max")
+                raise ValueError(f"{name}: min must be < max, got {lo!r} to {hi!r}")
 
     def t_values(self) -> np.ndarray:
         lo, hi, steps = self.t_range
@@ -282,7 +282,8 @@ def refine(
     (t_lo, t_hi), (p_lo, p_hi) = bounds
     t, p = float(start[0]), float(start[1])
     if not (t_lo <= t <= t_hi and p_lo <= p <= p_hi):
-        raise ValueError("start must lie within bounds")
+        raise ValueError(f"start must lie within bounds, got (t, param) = ({t!r}, {p!r}) "
+                         f"for t in [{t_lo!r}, {t_hi!r}], param in [{p_lo!r}, {p_hi!r}]")
     step_t = max((t_hi - t_lo) / 20.0, 10.0 * _TOL)
     step_p = max((p_hi - p_lo) / 20.0, 10.0 * _TOL)
 

@@ -349,21 +349,27 @@ class TestNoiseCommand:
         assert result.exit_code == 2
         assert "smaller dt" in result.output
 
-    def test_ou_table_beyond_memory_exits_2(self, runner):
-        # The 6 x 1e13 float64 fidelity table (480 TB) exceeds the 47-bit
-        # address space, so allocating it fails before any memory is touched.
+    def test_ou_trajectory_steps_beyond_bound_exits_2(self, runner, monkeypatch):
+        # 1e13 trajectories x 5 steps exceed the 1e12 trajectory-steps a run may take;
+        # the request is rejected before any path is drawn.
+        def never(*args):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(noise, "_phase_paths", never)
         result = runner.invoke(
             main, ["noise", "ou", "--n", "20", "--trajectories", "10000000000000",
                    "--t-max", "0.05"]
         )
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert "--trajectories" in result.output and "--t-steps" in result.output
-        assert "does not fit in memory" in result.output
+        assert result.stderr.splitlines()[-1] == (
+            "Error: trajectories x round(t_max / dt) must be at most 1e+12 trajectory-steps, "
+            "got trajectories = 10000000000000, t_max = 0.05, dt = 0.01"
+        )
 
     def test_ou_paths_beyond_memory_name_t_max_and_dt(self, runner, monkeypatch):
-        # 1e9 steps x 2 trajectories of paths (16 GB) beside a 3 x 2 table: the
-        # failure is simulated, so nothing large is ever allocated.
+        # 1e9 steps x 2 trajectories of paths (16 GB): the failure is simulated, so
+        # nothing large is ever allocated.
         def no_memory(*args):
             raise MemoryError
 
@@ -376,11 +382,9 @@ class TestNoiseCommand:
         assert result.stdout == ""
         error = result.stderr.splitlines()[-1]
         assert error == (
-            "Error: the fidelity table (up to 3 snapshot times from --t-steps 3 x "
-            "--trajectories 2: 48 bytes) or one block's phase paths (round(--t-max / "
-            "--dt) = 1000000000 steps x up to 2 trajectories: 1.6e+10 bytes) does not "
-            "fit in memory; lower --t-steps or --trajectories for the table, or "
-            "--t-max or raise --dt for the paths"
+            "Error: one block's phase paths (round(--t-max / --dt) = 1000000000 steps x up "
+            "to 2 trajectories: 1.6e+10 bytes) does not fit in memory; lower --t-max or "
+            "raise --dt"
         )
 
     def test_ou_huge_t_steps_prints_only_distinct_times(self, runner):
@@ -544,7 +548,24 @@ INVALID_INPUTS = [
       "-1e308", "--param-max", "1e308"],
      "param_range: bounds and their span max - min must be finite, got -1e+308 to 1e+308"),
     (["verify-reduction", "--n-max", "1"], "n_max must be >= 2"),
-    (["optimize", "--n", "20", "--t0", "99", "--param0", "1"], "start must lie within bounds"),
+    (["optimize", "--n", "20", "--t0", "99", "--param0", "1"],
+     "start must lie within bounds, got (t, param) = (99.0, 1.0) for t in [0.0, 50.0], "
+     "param in [0.0, 6.283185307179586]"),
+    (["optimize", "--n", "5", "--t0", "60", "--param0", "1"],
+     "start must lie within bounds, got (t, param) = (60.0, 1.0) for t in [0.0, 50.0], "
+     "param in [0.0, 6.283185307179586]"),
+    # The default --param-max of 40 is named, although it was never typed.
+    (["scan", "weight", "--n", "5", "--param-min", "50"],
+     "param_range: min must be < max, got 50.0 to 40.0"),
+    # Step counts that used to overflow int() or numpy's dimension limit; nothing is allocated.
+    (["noise", "ou", "--n", "5", "--trajectories", "4", "--t-max", "1e308", "--dt", "1e-10",
+      "--t-steps", "3"],
+     "t_max / dt must be a finite number of steps, got trajectories = 4, t_max = 1e+308, "
+     "dt = 1e-10"),
+    (["noise", "ou", "--n", "5", "--trajectories", "4", "--t-max", "0.1", "--dt", "1e-300",
+      "--t-steps", "3"],
+     "trajectories x round(t_max / dt) must be at most 1e+12 trajectory-steps, got "
+     "trajectories = 4, t_max = 0.1, dt = 1e-300"),
     (["optimize", "--n", "20", "--t0", "1", "--param0", "1", "--alpha-points", "0"],
      "grid must be non-empty"),
     (["noise", "ou", "--n", "5", "--t-steps", str(10**400), "--trajectories", "2",
@@ -599,6 +620,17 @@ def test_request_beyond_memory_exits_2(runner):
     assert "Traceback" not in result.output
     error = result.stderr.splitlines()[-1]
     assert error.startswith("Error: the request does not fit in memory: Unable to allocate")
+
+
+def test_optimize_nan_start_names_the_start_and_bounds(runner):
+    # Kept out of INVALID_INPUTS, whose rows must not print "nan": here the start is nan.
+    result = runner.invoke(main, ["optimize", "--n", "5", "--t0", "nan", "--param0", "1"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == (
+        "Error: start must lie within bounds, got (t, param) = (nan, 1.0) for t in "
+        "[0.0, 50.0], param in [0.0, 6.283185307179586]"
+    )
 
 
 @pytest.mark.parametrize("args, message", INVALID_INPUTS)

@@ -46,6 +46,17 @@ PEAK_T = 18.550
 SP = SuperpositionParams(0.7, 3.0 * math.pi / 2.0)
 
 
+def ensemble_states(params, psi0, spec, snapshots):
+    """The ``(snapshots, trajectories, 6)`` states that ``_evolve_ensemble`` visits."""
+    states = np.empty((len(snapshots), spec.trajectories, 6), dtype=complex)
+
+    def keep(j, lo, hi, block):
+        states[j, lo:hi] = block
+
+    _evolve_ensemble(params, psi0, spec, snapshots, keep)
+    return states
+
+
 class TestSpecValidation:
     def test_vonmises(self):
         with pytest.raises(ValueError):
@@ -524,6 +535,60 @@ def eigh_step_reference(params, psi0, spec, mu, steps):
     return psi
 
 
+class TestEnsembleStatistic:
+    @pytest.mark.parametrize("block", [7, 512, 1100])
+    def test_state_and_curve_share_one_statistic(self, monkeypatch, block):
+        monkeypatch.setattr(noise, "_TRAJECTORY_BLOCK", block)
+        spec = OUSpec(trajectories=1100, seed=5)
+        state = ou_ensemble_state(PEAK, 0.5, input_state(SP), spec)
+        times, values, errors = ou_fidelity_curve(PEAK, input_state(SP), target_state(SP),
+                                                  spec, t_max=0.5, snapshots=6)
+        assert times[-1] == 0.5
+        assert state.fidelity_with_stderr(target_state(SP)) == (values[-1], errors[-1])
+
+    def test_identical_fidelities_give_zero_stderr(self):
+        spec = OUSpec(sigma_vol=0.0, trajectories=7)
+        _, values, errors = ou_fidelity_curve(PEAK, input_state(SP), target_state(SP),
+                                              spec, t_max=1.0, snapshots=5)
+        assert np.all(errors == 0.0)
+        state = ou_ensemble_state(PEAK, 1.0, input_state(SP), spec)
+        assert state.fidelity_with_stderr(target_state(SP)) == (values[-1], 0.0)
+
+    def test_running_sums_match_two_pass_statistics(self):
+        spec = OUSpec(trajectories=600, seed=11)
+        state = ou_ensemble_state(PEAK, 1.0, input_state(SP), spec)
+        f = np.abs(state.trajectory_states @ target_state(SP).amplitudes.conj()) ** 2
+        mean, err = state.fidelity_with_stderr(target_state(SP))
+        assert mean == pytest.approx(f.mean(), abs=1e-15)
+        assert err == pytest.approx(f.std(ddof=1) / math.sqrt(f.size), rel=1e-13)
+
+    @pytest.mark.parametrize("run", ["curve", "state"])
+    def test_trajectory_steps_are_bounded(self, monkeypatch, run):
+        monkeypatch.setattr(noise, "_MAX_TRAJECTORY_STEPS", 20)
+        spec = OUSpec(trajectories=4, dt=0.1)
+
+        def evolve(t):
+            if run == "curve":
+                return ou_fidelity_curve(PEAK, input_state(SP), target_state(SP), spec,
+                                         t_max=t, snapshots=3)
+            return ou_ensemble_state(PEAK, t, input_state(SP), spec)
+
+        evolve(0.5)  # 4 x 5 steps: at the bound
+        name = "t_max" if run == "curve" else "t"
+        with pytest.raises(ValueError, match=rf"at most 2e\+01 trajectory-steps, got "
+                                             rf"trajectories = 4, {name} = 0.6, dt = 0.1"):
+            evolve(0.6)
+
+    @pytest.mark.parametrize("t, dt", [(1e308, 1e-10), (0.1, 1e-300)])
+    def test_step_count_overflow_is_rejected_before_any_work(self, monkeypatch, t, dt):
+        monkeypatch.setattr(noise, "_phase_paths", None)  # never reached
+        spec = OUSpec(trajectories=2, dt=dt)
+        with pytest.raises(ValueError, match=r"t_max .* dt = "):
+            ou_fidelity_curve(PEAK, input_state(SP), target_state(SP), spec, t_max=t)
+        with pytest.raises(ValueError, match=r"got trajectories = 2, t = .* dt = "):
+            ou_ensemble_state(PEAK, t, input_state(SP), spec)
+
+
 class TestFourierStep:
     @pytest.mark.parametrize(
         "beta, dt",
@@ -535,7 +600,7 @@ class TestFourierStep:
         params = RouterParams(int(rng.integers(2, 60)), beta, float(rng.uniform(0, TWO_PI)))
         spec = OUSpec(theta=1.3, sigma_vol=0.8, dt=dt, trajectories=40, seed=5)
         psi0 = input_state(SuperpositionParams(float(rng.uniform()), 1.1)).amplitudes
-        (got,) = _evolve_ensemble(params, psi0, spec, [30])
+        (got,) = ensemble_states(params, psi0, spec, [30])
         ref = eigh_step_reference(params, psi0, spec, params.phi, 30)
         assert float(np.max(np.abs(got - ref))) <= 1e-12
 
@@ -562,16 +627,16 @@ class TestFourierStep:
     def test_snapshots_come_back_in_order(self):
         spec = OUSpec(trajectories=5, seed=3)
         psi0 = input_state(SP).amplitudes
-        start, mid, end = _evolve_ensemble(PEAK, psi0, spec, [0, 10, 30])
+        start, mid, end = ensemble_states(PEAK, psi0, spec, [0, 10, 30])
         np.testing.assert_array_equal(start, np.broadcast_to(psi0, (5, 6)))
-        np.testing.assert_array_equal(mid, _evolve_ensemble(PEAK, psi0, spec, [10])[0])
-        np.testing.assert_array_equal(end, _evolve_ensemble(PEAK, psi0, spec, [30])[0])
+        np.testing.assert_array_equal(mid, ensemble_states(PEAK, psi0, spec, [10])[0])
+        np.testing.assert_array_equal(end, ensemble_states(PEAK, psi0, spec, [30])[0])
 
     def test_zero_volatility_is_noiseless_propagator(self):
         params = RouterParams(20, 1.0, 4.712)
         spec = OUSpec(sigma_vol=0.0, trajectories=3)
         psi0 = input_state(SP).amplitudes
-        (got,) = _evolve_ensemble(params, psi0, spec, [250])
+        (got,) = ensemble_states(params, psi0, spec, [250])
         h = build_reduced_hamiltonian(params).entries
         expected = linalg.expm(-1j * h * 250 * spec.dt) @ psi0
         assert float(np.max(np.abs(got - expected))) <= 1e-12
@@ -608,7 +673,7 @@ def ensemble_outputs(trajectories):
     """Every array the ensemble API returns, for a short run at ``trajectories``."""
     spec = OUSpec(trajectories=trajectories, seed=41)
     return (
-        *_evolve_ensemble(PEAK, input_state(SP).amplitudes, spec, [0, 7, 20]),
+        *ensemble_states(PEAK, input_state(SP).amplitudes, spec, [0, 7, 20]),
         ou_ensemble_state(PEAK, 0.2, input_state(SP), spec).trajectory_states,
         *ou_fidelity_curve(PEAK, input_state(SP), target_state(SP), spec,
                            t_max=0.2, snapshots=5),
@@ -638,23 +703,23 @@ class TestTrajectoryBlocks:
         for got, expected in zip(blocked, single):
             np.testing.assert_array_equal(got, expected)
 
-    def test_peak_memory_grows_only_with_the_fidelity_table(self):
-        # 50 steps and 6 snapshots at 1024 and 4096 trajectories (2 and 8
-        # blocks).  The whole paths and noise would add 16 B per trajectory and
-        # step, and the state stacks 96 B per trajectory and snapshot.
-        def peak(trajectories):
+    def test_peak_memory_grows_with_neither_trajectories_nor_snapshots(self):
+        # 1024 and 4096 trajectories (2 and 8 blocks) at 50 steps and 6 snapshots, and 6 and
+        # 101 snapshots at 100 steps and 1024 trajectories.  A fidelity table would add
+        # 8 B per trajectory and snapshot: 147 KB and 778 KB.
+        def peak(trajectories, t_max, snapshots):
             tracemalloc.start()
             try:
                 ou_fidelity_curve(PEAK, input_state(SP), target_state(SP),
-                                  OUSpec(trajectories=trajectories), t_max=0.5, snapshots=6)
+                                  OUSpec(trajectories=trajectories), t_max=t_max,
+                                  snapshots=snapshots)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(1024)
-        small, large = peak(1024), peak(4096)
-        table_growth = 8 * (4096 - 1024) * 6
-        assert large - small <= table_growth + 16_384
+        peak(1024, 0.5, 6)
+        assert peak(4096, 0.5, 6) - peak(1024, 0.5, 6) < 16_384
+        assert peak(1024, 1.0, 101) - peak(1024, 1.0, 6) < 16_384
 
     def test_one_block_of_paths_is_live_at_a_time(self, monkeypatch):
         # Three blocks of 128 trajectories x 1000 steps: one block's paths are 1 MB, and
