@@ -39,14 +39,16 @@ from .noise import (
     static_noise_fidelity,
 )
 from .routing import (
+    _OBJECTIVES,
     SuperpositionGrid,
     SuperpositionParams,
+    _statistic,
     average_fidelity,
     input_state,
     min_fidelity,
     target_state,
 )
-from .search import _STATISTICS, ScanGrid, _with_param, refine, scan
+from .search import ScanGrid, _with_param, refine, scan
 
 # The five tabulated high-fidelity configurations (n, t, phi, statistic, reference).
 TABLE1_ROWS = (
@@ -278,7 +280,7 @@ def hamiltonian_cmd(n: int, beta: float, phi: float, full: bool, output: str | N
               help="Default: 2*pi*255/256 (phase) or 40 (weight).")
 @click.option("--param-steps", type=int, default=None,
               help="Default: 256 (phase) or 401 (weight).")
-@click.option("--objective", type=click.Choice(list(_STATISTICS)),
+@click.option("--objective", type=click.Choice(list(_OBJECTIVES)),
               default="localized", show_default=True)
 @_superposition_grid
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
@@ -434,7 +436,7 @@ def noise_cmd(ctx, model, n, beta, phi, alpha, chi, t_max, t_steps, k, theta, si
 @click.option("--n-max", type=int, default=8, show_default=True,
               help="Largest n checked, at most 1023 (a full graph of dimension 2048).")
 @click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--seed", type=int, default=1234, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=1234, show_default=True)
 @click.option("--tolerance", type=float, default=1e-9, show_default=True,
               help="Largest deviation that passes; finite and >= 0.")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
@@ -459,7 +461,7 @@ def verify_reduction_cmd(ctx, n_max, trials, seed, tolerance, output):
 
 
 @main.command("optimize")
-@click.option("--objective", type=click.Choice(list(_STATISTICS)),
+@click.option("--objective", type=click.Choice(list(_OBJECTIVES)),
               default="localized", show_default=True)
 @click.option("--kind", type=click.Choice(["phase", "weight"]), default="phase",
               show_default=True)
@@ -481,8 +483,8 @@ def optimize_cmd(objective, kind, n, beta, phi, t0, param0, t_min, t_max,
     params = RouterParams(n_outputs=n, beta=beta, phi=phi)
     if param_max is None:
         param_max = TWO_PI if kind == "phase" else 40.0
-    statistic = _STATISTICS[objective]
-    result = refine(lambda t, p: statistic(_with_param(params, kind, p), t, sp_grid),
+    result = refine(lambda t, p: _statistic(objective, _with_param(params, kind, p), t,
+                                            sp_grid),
                     (t0, param0), ((t_min, t_max), (param_min, param_max)))
     payload = {
         "objective": objective,

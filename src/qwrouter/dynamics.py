@@ -139,6 +139,7 @@ def verify_reduction(n_max: int, trials: int, rng: np.random.Generator) -> list[
     amplitude deviation seen at each ``n``.  ``n_max`` is at most 1023, as in
     ``build_full_hamiltonian``.
     """
+    n_max, trials = hamiltonian._integer("n_max", n_max), hamiltonian._integer("trials", trials)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if trials < 1:

@@ -61,6 +61,18 @@ def _check_n_outputs(n) -> None:
         raise ValueError(f"n_outputs must be at most {sys.float_info.max!r}")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int: any integral value, an integral float too; else ``ValueError``
+    naming ``name`` and the value, where ``int`` would truncate or fail."""
+    try:
+        integral = not isinstance(value, bool) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_full_graph(n: int, name: str = "n") -> None:
     """``ValueError`` naming ``name`` unless the full graph of ``n`` outputs fits in
     ``_FULL_DIM_MAX``: checked before anything is allocated."""
@@ -166,12 +178,18 @@ def reduced_hamiltonians(n: int, beta, phis) -> np.ndarray:
     1..6 map to row/column indices 0..5.  Nonzero elements (upper triangle):
     (1,2)=1, (2,3)=beta*exp(-i*phi), (2,5)=(3,5)=sqrt(n-1), (3,4)=1, (5,6)=1,
     and the diagonal element (5,5)=n-2; the lower triangle is the conjugate
-    mirror.
+    mirror.  ``n`` is checked as ``RouterParams`` checks it, and a non-finite ``beta``
+    or ``phis`` raises ``ValueError``.
     """
+    _check_n_outputs(n)
     beta = np.asarray(beta, dtype=float)
     phis = np.asarray(phis, dtype=float)
     if beta.ndim > 1 or phis.ndim > 1:
         raise ValueError("beta and phis must each be a scalar or a 1-d array")
+    for name, x in (("beta", beta), ("phis", phis)):
+        bad = x[~np.isfinite(x)]
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
     try:
         (m,) = np.broadcast_shapes(beta.shape, phis.shape, (1,))
     except ValueError:

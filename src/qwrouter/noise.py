@@ -60,7 +60,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .dynamics import PureState, _evolved, _unitaries
-from .hamiltonian import TWO_PI, RouterParams, _read_only, _reduced_spectra
+from .hamiltonian import TWO_PI, RouterParams, _integer, _read_only, _reduced_spectra
 from .routing import (
     DensityMatrix,
     SuperpositionParams,
@@ -137,16 +137,17 @@ class OUSpec:
             raise ValueError("mu must be finite")
         if not (math.isfinite(float(self.sigma_vol)) and self.sigma_vol >= 0.0):
             raise ValueError("sigma_vol must be finite and >= 0")
-        if int(self.trajectories) < 1:
+        trajectories = _integer("trajectories", self.trajectories)
+        if trajectories < 1:
             raise ValueError("trajectories must be >= 1")
-        seed = int(self.seed)
+        seed = _integer("seed", self.seed)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "theta", _positive("theta", self.theta))
         object.__setattr__(self, "mu", None if self.mu is None else float(self.mu))
         object.__setattr__(self, "sigma_vol", float(self.sigma_vol))
         object.__setattr__(self, "dt", _positive("dt", self.dt))
-        object.__setattr__(self, "trajectories", int(self.trajectories))
+        object.__setattr__(self, "trajectories", trajectories)
         object.__setattr__(self, "seed", seed)
         if not self.theta * self.dt < 2.0:  # else x + theta dt (mu - x) does not contract
             raise ValueError(f"theta * dt must be < 2 for the Euler-Maruyama step to contract, "
@@ -251,6 +252,15 @@ def _mixture(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
+def _reduced_amplitudes(name: str, state: PureState) -> np.ndarray:
+    """The amplitudes of ``state``; ``ValueError`` naming ``name`` and its dimension unless
+    it is a state of the six-dimensional reduced basis."""
+    if state.dim != 6:
+        raise ValueError(f"{name} must be a 6-dimensional reduced-basis state, "
+                         f"got dimension {state.dim}")
+    return state.amplitudes
+
+
 def _positive(name: str, x: float) -> float:
     x = float(x)
     if not (math.isfinite(x) and x > 0.0):
@@ -353,7 +363,8 @@ def static_noise_state(
     params: RouterParams, t: float, psi0: PureState, vm: VonMisesSpec
 ) -> NoiseAveragedState:
     """Noise-averaged output state ``∫ p_k(eps) U(phi+eps) |psi0><psi0| U^dag d eps``."""
-    rho, converged, used = _static_average(params, t, psi0.amplitudes, vm.k, _mixture)
+    amps = _reduced_amplitudes("psi0", psi0)
+    rho, converged, used = _static_average(params, t, amps, vm.k, _mixture)
     return NoiseAveragedState(rho, converged, used)
 
 
@@ -361,18 +372,23 @@ def ou_sample_path(spec: OUSpec, steps: int, trajectory: int = 0) -> np.ndarray:
     """One Euler–Maruyama path ``X_0 .. X_{steps-1}`` (values at step starts).
 
     ``X_0`` is drawn from the stationary law ``N(mu, Sigma^2 / 2 theta)``;
-    the path is fully determined by ``(spec.seed, trajectory)``.
+    the path is fully determined by ``(spec.seed, trajectory)``, with ``trajectory``
+    in ``[0, 2**128)``.
     """
-    if int(steps) < 1:
+    steps, trajectory = _integer("steps", steps), _integer("trajectory", trajectory)
+    if steps < 1:
         raise ValueError("steps must be >= 1")
-    return _phase_paths(spec, spec.mu, int(steps), [int(trajectory)])[0]
+    if not 0 <= trajectory < 2**128:  # the Philox counter's two upper words
+        raise ValueError(f"trajectory must lie in [0, 2**128), got {trajectory}")
+    return _phase_paths(spec, spec.mu, steps, [trajectory])[0]
 
 
 def ou_stationary_draws(spec: OUSpec, count: int) -> np.ndarray:
     """Initial values ``X_0`` of trajectories ``0 .. count-1`` (stationary samples)."""
-    if int(count) < 1:
+    count = _integer("count", count)
+    if count < 1:
         raise ValueError("count must be >= 1")
-    return _phase_paths(spec, spec.mu, 1, range(int(count)))[:, 0]
+    return _phase_paths(spec, spec.mu, 1, range(count))[:, 0]
 
 
 def _phase_paths(
@@ -551,16 +567,17 @@ def ou_ensemble_state(
     The result's ``fidelity_with_stderr`` reports the mean fidelity against a
     pure target together with its Monte Carlo standard error.
     """
+    amps = _reduced_amplitudes("psi0", psi0)
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and >= 0")
     steps = _step_count(t, spec, "t")
-    states = np.empty((spec.trajectories, psi0.dim), dtype=complex)
+    states = np.empty((spec.trajectories, 6), dtype=complex)
 
     def keep(j: int, lo: int, hi: int, block: np.ndarray) -> None:
         states[lo:hi] = block
 
-    _evolve_ensemble(params, psi0.amplitudes, spec, [steps], keep)
+    _evolve_ensemble(params, amps, spec, [steps], keep)
     return EnsembleState(_mixture(states, np.full(len(states), 1.0 / len(states))), states)
 
 
@@ -596,16 +613,17 @@ def ou_fidelity_curve(
     ``ou_ensemble_state`` at each snapshot, bit for bit.  Trajectories x steps
     may be at most ``_MAX_TRAJECTORY_STEPS``.
     """
+    amps = _reduced_amplitudes("psi0", psi0)
+    w_conj = _reduced_amplitudes("target", target).conj()
     if not (math.isfinite(float(t_max)) and t_max > 0.0):
         raise ValueError("t_max must be positive")
-    snapshots = int(snapshots)
+    snapshots = _integer("snapshots", snapshots)
     if not 2 <= snapshots <= sys.float_info.max:
         raise ValueError(f"snapshots must be >= 2 and at most {sys.float_info.max!r}")
     total_steps = _step_count(float(t_max), spec, "t_max")
     if total_steps < 1:
         raise ValueError("t_max must span at least one step of dt")
     wanted = _snapshot_steps(t_max, spec.dt, snapshots, total_steps)
-    w_conj = target.amplitudes.conj()
     shifts, sums = np.empty(len(wanted)), np.zeros((len(wanted), 2))
 
     def add(j: int, lo: int, hi: int, states: np.ndarray) -> None:
@@ -614,6 +632,6 @@ def ou_fidelity_curve(
             shifts[j] = f[0]
         _add_deviations(sums[j], f - shifts[j])
 
-    _evolve_ensemble(params, psi0.amplitudes, spec, wanted, add)
+    _evolve_ensemble(params, amps, spec, wanted, add)
     return (np.array(wanted) * spec.dt, *_mean_and_stderr(spec.trajectories, shifts, sums))
 

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import PureState, _checked_times
-from .hamiltonian import TWO_PI, RouterParams, _read_only, _reduced_spectra
+from .hamiltonian import TWO_PI, RouterParams, _integer, _read_only, _reduced_spectra
 
 __all__ = [
     "SuperpositionParams",
@@ -81,12 +81,14 @@ class SuperpositionGrid:
     measure: str = "uniform"
 
     def __post_init__(self) -> None:
-        if int(self.alpha_points) < 1 or int(self.chi_points) < 1:
+        alpha_points = _integer("alpha_points", self.alpha_points)
+        chi_points = _integer("chi_points", self.chi_points)
+        if alpha_points < 1 or chi_points < 1:
             raise ValueError("grid must be non-empty")
         if self.measure not in ("uniform", "haar"):
             raise ValueError("measure must be 'uniform' or 'haar'")
-        object.__setattr__(self, "alpha_points", int(self.alpha_points))
-        object.__setattr__(self, "chi_points", int(self.chi_points))
+        object.__setattr__(self, "alpha_points", alpha_points)
+        object.__setattr__(self, "chi_points", chi_points)
 
     def alphas(self) -> np.ndarray:
         if self.alpha_points == 1:
@@ -281,20 +283,13 @@ def _grid_fidelity(u: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.minimum(f, 1.0, out=f)  # the clip to [0, 1]: a square is never below 0
 
 
-def average_fidelity(
-    params: RouterParams, t, grid: SuperpositionGrid | None = None
-) -> float | np.ndarray:
+def average_fidelity(params: RouterParams, t,
+                     grid: SuperpositionGrid | None = None) -> float | np.ndarray:
     """Mean routing fidelity over the (alpha, chi) grid: exactly ``u^T G conj(u)``.
 
     A float for a scalar ``t``; an array of the shape of ``t`` for an array of times.
     """
-    if grid is None:
-        grid = SuperpositionGrid()
-    u = u_element_curve(params, t, *_TRANSFER)
-    g = _axes(grid)[4]
-    if u.ndim == 1:
-        return _clamp01(float((g * np.outer(u, u.conj())).sum().real))
-    return _mean_fidelity(u, g)
+    return _statistic("average", params, t, grid)
 
 
 def _mean_fidelity(u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -304,20 +299,17 @@ def _mean_fidelity(u: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.clip(np.einsum("kl,k...,l...->...", g, u, u.conj()).real, 0.0, 1.0)
 
 
-def min_fidelity(
-    params: RouterParams, t, grid: SuperpositionGrid | None = None
-) -> float | np.ndarray:
+def min_fidelity(params: RouterParams, t,
+                 grid: SuperpositionGrid | None = None) -> float | np.ndarray:
     """Worst-case routing fidelity over (alpha, chi).
 
     Takes the grid minimum and polishes it by step-halving coordinate descent
     (chi unbounded; until both steps drop below 1e-4), since a bare grid minimum
     (``fidelity_grid(...).min()``) can overestimate the true worst case.  A float
     for a scalar ``t``; an array of the shape of ``t`` for an array of times,
-    whose elements come from one ``u_element_curve`` call.
+    whose elements come from one ``u_element_curve`` call (``_statistic``).
     """
-    if grid is None:
-        grid = SuperpositionGrid()
-    return _worst_case(u_element_curve(params, t, *_TRANSFER), grid)
+    return _statistic("worst_case", params, t, grid)
 
 
 # The step-halving descent (``_descend``) halves its steps until both are below _TOL.
@@ -400,6 +392,28 @@ def _worst_case(u: np.ndarray, grid: SuperpositionGrid) -> float | np.ndarray:
     _lockstep(cells, grid, out)
     np.minimum(out, 1.0, out=out)  # clipped to [0, 1]: every value is a square or a grid value
     return float(out[0]) if u.ndim == 1 else out.reshape(u.shape[1:])
+
+
+# Objective name -> (the ``(rows, cols)`` of the propagator elements it reads, its reducer
+# ``(u, grid) -> fidelities`` of those elements): the figures of merit of ``scan``,
+# ``optimize`` and the public statistics, each defined here once.
+_OBJECTIVES = {
+    "localized": ((3, 0), lambda u, grid: _probability(u)),
+    "average": (_TRANSFER, lambda u, grid: _mean_fidelity(u, _axes(grid)[4])),
+    "worst_case": (_TRANSFER, _worst_case),
+}
+
+
+def _statistic(objective: str, params: RouterParams, t,
+               grid: SuperpositionGrid | None = None) -> float | np.ndarray:
+    """The ``objective`` of ``_OBJECTIVES`` of the router ``params`` over ``grid`` (default
+    ``SuperpositionGrid()``): a float for a scalar ``t``, else an array of the shape of
+    ``t``.  A scalar time's elements come from a matvec and an array's from a matmul
+    (``elements``), so the two may differ in the last bit."""
+    rows_cols, reduce = _OBJECTIVES[objective]
+    f = reduce(u_element_curve(params, t, *rows_cols),
+               SuperpositionGrid() if grid is None else grid)
+    return float(f) if np.ndim(f) == 0 else f
 
 
 @lru_cache(maxsize=32)

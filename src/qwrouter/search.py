@@ -8,21 +8,9 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import TWO_PI, RouterParams, _read_only, _reduced_spectra
-from .routing import (
-    _TOL,
-    _TRANSFER,
-    SuperpositionGrid,
-    _axes,
-    _descend,
-    _mean_fidelity,
-    _probability,
-    _worst_case,
-    average_fidelity,
-    elements,
-    min_fidelity,
-    transition_probability,
-)
+from .hamiltonian import TWO_PI, RouterParams, _integer, _read_only, _reduced_spectra
+from .routing import (_OBJECTIVES, _TOL, SuperpositionGrid, _descend, _probability, _worst_case,
+                      elements)
 
 __all__ = [
     "ScanGrid",
@@ -35,13 +23,6 @@ __all__ = [
 ]
 
 _KINDS = ("phase", "weight")
-# Objective name -> (params, t, grid) -> the fidelity at one scalar time.  The lambdas look
-# the statistics up when called, so wrappers rebound on this module's names see every call.
-_STATISTICS = {
-    "localized": lambda params, t, grid: transition_probability(params, t, 1, 4),
-    "average": lambda params, t, grid: average_fidelity(params, t, grid),
-    "worst_case": lambda params, t, grid: min_fidelity(params, t, grid),
-}
 # ``_surface`` takes as many columns at once as fit in _PHASE_BYTES of phase tensor
 # ``exp(-i w t)`` (16 bytes an eigenvalue and a time; at least one column): 5 at 501 times.
 # Chunks of 5 to 21 columns took about the same time there, and only the smallest kept a
@@ -64,7 +45,7 @@ class ScanGrid:
             ("t_range", self.t_range),
             ("param_range", self.param_range),
         ):
-            if int(steps) < 2:
+            if _integer(f"{name}: steps", steps) < 2:
                 raise ValueError(f"{name}: steps must be >= 2")
             if not math.isfinite(float(hi) - float(lo)):  # linspace steps by the span
                 raise ValueError(f"{name}: bounds and their span max - min must be finite, "
@@ -144,19 +125,20 @@ def _with_param(base: RouterParams, kind: str, value: float) -> RouterParams:
 def scan(
     params_base: RouterParams,
     grid: ScanGrid,
-    objective: str = "localized",
+    objective: str = next(iter(_OBJECTIVES)),
     sp_grid: SuperpositionGrid | None = None,
 ) -> ScanSurface:
     """Dense fidelity surface over the grid, with ``P16`` per cell; deterministic.
 
-    ``localized`` evaluates the input-to-target transition probability,
-    ``average`` the mean and ``worst_case`` the minimum superposition
-    fidelity.  Each cell has the bits that ``transition_probability``,
-    ``average_fidelity`` or ``min_fidelity`` give at its router and time, from
-    ``_surface``, a chunk of parameter columns at a time.
+    ``objective`` names an entry of ``routing._OBJECTIVES`` (by default the first,
+    ``localized``): ``localized`` is the input-to-target transition probability,
+    ``average`` the mean and ``worst_case`` the minimum superposition fidelity.
+    Each cell has the bits that the entry's reducer gives the elements of its router
+    at an array of times (``transition_probability``, ``average_fidelity`` or
+    ``min_fidelity``), from ``_surface``, a chunk of parameter columns at a time.
     """
-    if objective not in _STATISTICS:
-        raise ValueError(f"objective must be one of {tuple(_STATISTICS)}")
+    if objective not in _OBJECTIVES:
+        raise ValueError(f"objective must be one of {tuple(_OBJECTIVES)}")
     ts = grid.t_values()
     ps = grid.param_values()
     if grid.param_kind == "phase":
@@ -179,27 +161,28 @@ def _surface(n: int, betas: np.ndarray, phis: np.ndarray, ts: np.ndarray, object
 
     Each chunk of columns (``_PHASE_BYTES``) takes one batched ``_reduced_spectra``
     and one ``elements`` call, whose phase tensor serves ``P16`` and the objective's
-    elements alike.  ``localized`` and ``average`` reduce each chunk to fidelities
-    at once; ``worst_case`` stacks the transfer elements of all cells and descends
-    them in one ``_worst_case`` call.
+    elements alike, and the objective's reducer (``routing._OBJECTIVES``) takes
+    them to fidelities at once.
     """
+    rows_cols, reduce = _OBJECTIVES[objective]
     values = np.empty((ts.size, betas.size))
     wrong = np.empty((ts.size, betas.size))
-    transfer = np.empty((4,) + values.shape, complex) if objective == "worst_case" else None
+    # The worst case stacks the transfer elements of all cells and descends them in one
+    # call: reduced per chunk, the seed-0 101x81 surface took 0.71-0.86 s against
+    # 0.57-0.66 s whole (same bits; in process, 2-vCPU Xeon).
+    stack = np.empty((4,) + values.shape, complex) if reduce is _worst_case else None
     chunk = max(1, _PHASE_BYTES // (96 * ts.size))
     for lo in range(0, betas.size, chunk):
         cols = slice(lo, lo + chunk)
         w, q = _reduced_spectra(n, betas[cols], phis[cols])
-        u16, u = elements(w, q, ts, (5, 0), (3, 0) if objective == "localized" else _TRANSFER)
+        u16, u = elements(w, q, ts, (5, 0), rows_cols)
         wrong[:, cols] = _probability(u16).T
-        if objective == "localized":
-            values[:, cols] = _probability(u).T
-        elif objective == "average":
-            values[:, cols] = _mean_fidelity(u, _axes(sp_grid)[4]).T
+        if stack is None:
+            values[:, cols] = reduce(u, sp_grid).T
         else:
-            transfer[:, :, cols] = u.transpose(0, 2, 1)
-    if transfer is not None:
-        values = _worst_case(transfer, sp_grid)
+            stack[:, :, cols] = u.transpose(0, 2, 1)
+    if stack is not None:
+        values = reduce(stack, sp_grid)
     return values, wrong
 
 

@@ -505,11 +505,11 @@ class TestOptimizeCommand:
 
 
 @pytest.mark.parametrize("command", ["scan", "optimize"])
-def test_objective_choices_are_the_statistics_table(command):
-    from qwrouter.search import _STATISTICS
+def test_objective_choices_are_the_objectives_table(command):
+    from qwrouter.routing import _OBJECTIVES
 
     (option,) = [p for p in main.commands[command].params if p.name == "objective"]
-    assert list(option.type.choices) == list(_STATISTICS)
+    assert list(option.type.choices) == list(_OBJECTIVES)
 
 
 # Invalid inputs covering every subcommand and each kind of failure (a huge n, an
@@ -548,6 +548,8 @@ INVALID_INPUTS = [
       "-1e308", "--param-max", "1e308"],
      "param_range: bounds and their span max - min must be finite, got -1e+308 to 1e+308"),
     (["verify-reduction", "--n-max", "1"], "n_max must be >= 2"),
+    (["verify-reduction", "--seed", "-5"],
+     "Invalid value for '--seed': -5 is not in the range x>=0."),
     (["optimize", "--n", "20", "--t0", "99", "--param0", "1"],
      "start must lie within bounds, got (t, param) = (99.0, 1.0) for t in [0.0, 50.0], "
      "param in [0.0, 6.283185307179586]"),

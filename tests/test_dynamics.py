@@ -189,6 +189,18 @@ def verify_reduction_loop_reference(n_max, trials, rng):
     return worst_per_n
 
 
+@pytest.mark.parametrize("n_max, trials, message", [
+    (2.5, 1, "n_max must be an integer, got 2.5"),
+    (3, 1.5, "trials must be an integer, got 1.5"),
+])
+def test_verify_reduction_counts_are_integers(n_max, trials, message):
+    with pytest.raises(ValueError) as info:
+        verify_reduction(n_max, trials, np.random.default_rng(0))
+    assert str(info.value) == message
+    assert verify_reduction(3.0, 2.0, np.random.default_rng(0)) == verify_reduction(
+        3, 2, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("seed", [0, 1234])
 def test_verify_reduction_matches_evolve_loop_bitwise(seed):
     got = verify_reduction(8, 20, np.random.default_rng(seed))

@@ -267,6 +267,35 @@ def test_reduced_hamiltonians_reject_other_shapes(beta, phis):
         reduced_hamiltonians(20, beta, phis)
 
 
+@pytest.mark.parametrize("n, beta, phis, error, message", [
+    (1, 1.0, 0.0, ValueError, "n_outputs must be >= 2"),
+    (0, 1.0, 0.0, ValueError, "n_outputs must be >= 2"),
+    (10**400, 1.0, 0.0, ValueError, "n_outputs must be at most 1.7976931348623157e+308"),
+    (20.0, 1.0, 0.0, TypeError, "n_outputs must be an integer"),
+    (20, np.nan, 0.0, ValueError, "beta must be finite, got nan"),
+    (20, [1.0, -np.inf], 0.0, ValueError, "beta must be finite, got -inf"),
+    (20, 1.0, [0.0, 1.0, np.nan], ValueError, "phis must be finite, got nan"),
+])
+def test_reduced_hamiltonians_reject_what_router_params_rejects(n, beta, phis, error, message):
+    with pytest.raises(error) as info:
+        reduced_hamiltonians(n, beta, phis)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, expected", [
+    (3, 3), (3.0, 3), (np.int64(3), 3), (np.float64(-2.0), -2), (10**30, 10**30),
+    (2.5, None), (np.nan, None), (np.inf, None), (True, None), ("3", None), (None, None),
+])
+def test_integer_accepts_integral_values_only(value, expected):
+    if expected is None:
+        with pytest.raises(ValueError) as info:
+            hamiltonian._integer("count", value)
+        assert str(info.value) == f"count must be an integer, got {value!r}"
+    else:
+        got = hamiltonian._integer("count", value)
+        assert got == expected and type(got) is int
+
+
 class TestReducedSpectra:
     """``hamiltonian._reduced_spectra``, the one place a reduced Hamiltonian is decomposed."""
 

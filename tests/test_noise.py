@@ -77,6 +77,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             OUSpec(trajectories=0)
 
+    @pytest.mark.parametrize("field, value", [("trajectories", 1.5), ("trajectories", math.nan),
+                                              ("seed", 1.5), ("seed", "7")])
+    def test_ou_rejects_a_count_that_is_not_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            OUSpec(**{field: value})
+
+    def test_ou_accepts_integral_floats(self):
+        spec = OUSpec(trajectories=4.0, seed=np.float64(9.0))
+        assert (spec.trajectories, spec.seed) == (4, 9)
+        assert type(spec.trajectories) is int and type(spec.seed) is int
+
     @pytest.mark.parametrize("theta, dt", [(300.0, 0.01), (1e308, 0.01), (2.0, 1.0), (1.0, 5.0)])
     def test_ou_rejects_a_step_that_does_not_contract(self, theta, dt):
         # x + theta dt (mu - x) multiplies x - mu by 1 - theta dt, which is <= -1 here.
@@ -390,6 +401,29 @@ class TestOUPaths:
         with pytest.raises(ValueError):
             ou_stationary_draws(OUSpec(), 10)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda spec: ou_sample_path(spec, 2.7), "steps must be an integer, got 2.7"),
+        (lambda spec: ou_sample_path(spec, math.nan), "steps must be an integer, got nan"),
+        (lambda spec: ou_sample_path(spec, 5, trajectory=0.5),
+         "trajectory must be an integer, got 0.5"),
+        (lambda spec: ou_sample_path(spec, 5, trajectory=-1),
+         "trajectory must lie in [0, 2**128), got -1"),
+        (lambda spec: ou_sample_path(spec, 5, trajectory=2**200),
+         f"trajectory must lie in [0, 2**128), got {2**200}"),
+        (lambda spec: ou_stationary_draws(spec, 1.5), "count must be an integer, got 1.5"),
+    ])
+    def test_counts_and_indices_are_integers_in_range(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call(OUSpec(mu=0.5, seed=42))
+        assert str(info.value) == message
+
+    def test_integral_float_counts_and_indices_are_accepted(self):
+        spec = OUSpec(mu=0.5, seed=42)
+        assert ou_sample_path(spec, 7, trajectory=2**128 - 1).shape == (7,)
+        np.testing.assert_array_equal(ou_sample_path(spec, 7.0, trajectory=3.0),
+                                      ou_sample_path(spec, 7, trajectory=3))
+        np.testing.assert_array_equal(ou_stationary_draws(spec, 3.0), ou_stationary_draws(spec, 3))
+
     def test_batch_matches_single_paths(self):
         spec = OUSpec(mu=1.2, trajectories=5, seed=7)
         batch = _phase_paths(spec, 1.2, 50)
@@ -474,6 +508,24 @@ class TestOUEnsemble:
             ou_ensemble_state(PEAK, 1.0, input_state(SP), spec)
         with pytest.raises(ValueError, match="2 trajectories"):
             ou_fidelity_curve(PEAK, input_state(SP), target_state(SP), spec, t_max=1.0)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda five: ou_fidelity_curve(PEAK, five, target_state(SP), OUSpec(), 1.0), "psi0"),
+        (lambda five: ou_fidelity_curve(PEAK, input_state(SP), five, OUSpec(), 1.0), "target"),
+        (lambda five: ou_ensemble_state(PEAK, 1.0, five, OUSpec()), "psi0"),
+        (lambda five: static_noise_state(PEAK, 1.0, five, VonMisesSpec(1.0)), "psi0"),
+    ], ids=["curve-psi0", "curve-target", "ensemble-state", "static-state"])
+    def test_states_must_be_six_dimensional(self, call, name):
+        five = PureState(np.eye(5, dtype=complex)[0])
+        with pytest.raises(ValueError) as info:
+            call(five)
+        assert str(info.value) == (f"{name} must be a 6-dimensional reduced-basis state, "
+                                   "got dimension 5")
+
+    def test_curve_rejects_a_non_integral_snapshot_count(self):
+        with pytest.raises(ValueError, match=r"^snapshots must be an integer, got 2\.5$"):
+            ou_fidelity_curve(PEAK, input_state(SP), target_state(SP), OUSpec(), 1.0,
+                              snapshots=2.5)
 
     def test_stderr_requires_two_rows(self):
         one = input_state(SP).amplitudes[None, :]

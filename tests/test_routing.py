@@ -283,6 +283,18 @@ class TestGridStatistics:
         with pytest.raises(ValueError):
             SuperpositionGrid(0, 8)
 
+    @pytest.mark.parametrize("points, message", [
+        ((2.5, 3), "alpha_points must be an integer, got 2.5"),
+        ((3, math.nan), "chi_points must be an integer, got nan"),
+        ((None, 3), "alpha_points must be an integer, got None"),
+    ])
+    def test_grid_point_counts_are_integers(self, points, message):
+        with pytest.raises(ValueError) as info:
+            SuperpositionGrid(*points)
+        assert str(info.value) == message
+        grid = SuperpositionGrid(3.0, np.int64(4))
+        assert (grid.alpha_points, grid.chi_points) == (3, 4)
+
     def test_haar_measure_against_monte_carlo(self):
         # Oracle: direct sampling from the single-qubit uniform measure.
         p = RouterParams(20, 1.0, 4.712)
@@ -457,24 +469,29 @@ class TestAgainstFormerLoops:
             got = average_fidelity(params, t, grid)
             assert abs(got - grid_mean_reference(params, t, grid)) <= 1e-13
 
-    def test_average_over_time_array(self):
+    @pytest.mark.parametrize("objective", ["localized", "average", "worst_case"])
+    def test_statistic_over_time_array(self, objective):
+        # A scalar time's elements come from a matvec and an array's from a matmul, so
+        # the two agree to 1e-15, not bit for bit; both go through the objective table.
         grid = SuperpositionGrid(9, 12, "haar")
+        statistic = {"localized": lambda params, t: transition_probability(params, t, 1, 4),
+                     "average": partial(average_fidelity, grid=grid),
+                     "worst_case": partial(min_fidelity, grid=grid)}[objective]
         rng = np.random.default_rng(31)
         for _ in range(20):
             params, _ = random_router(rng)
             ts = rng.uniform(0.0, 50.0, 17)
-            curve = average_fidelity(params, ts, grid)
+            curve = statistic(params, ts)
             assert curve.shape == ts.shape
+            np.testing.assert_array_equal(routing._statistic(objective, params, ts, grid), curve)
             for got, t in zip(curve.tolist(), ts.tolist()):
-                scalar = average_fidelity(params, t, grid)
+                scalar = statistic(params, t)
                 assert abs(got - scalar) <= 1e-15
-                # A scalar time keeps the former summation bit for bit.
-                u = u_element_curve(params, t, *_TRANSFER)
-                former = float((_axes(grid)[4] * np.outer(u, u.conj())).sum().real)
-                assert scalar == min(max(former, 0.0), 1.0)
-            np.testing.assert_array_equal(
-                average_fidelity(params, ts.reshape(1, 17), grid)[0], curve)
-        assert type(average_fidelity(params, np.float64(2.0), grid)) is float
+                assert scalar == routing._statistic(objective, params, t, grid)
+                if objective == "average":
+                    assert abs(scalar - grid_mean_reference(params, t, grid)) <= 1e-13
+            np.testing.assert_array_equal(statistic(params, ts.reshape(1, 17))[0], curve)
+        assert type(statistic(params, np.float64(2.0))) is float
 
     def test_average_builds_no_grid(self, monkeypatch):
         def no_grid(*args):

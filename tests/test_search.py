@@ -112,6 +112,14 @@ class TestScanGrid:
         with pytest.raises(ValueError):
             ScanGrid((0.0, 1.0, 1), (0.0, 1.0, 5), "phase")
 
+    @pytest.mark.parametrize("steps", [2.5, math.nan, "5"])
+    def test_rejects_steps_that_are_not_integers(self, steps):
+        with pytest.raises(ValueError, match=r"^t_range: steps must be an integer, got "):
+            ScanGrid((0.0, 1.0, steps), (0.0, 1.0, 5), "phase")
+        with pytest.raises(ValueError, match=r"^param_range: steps must be an integer, got "):
+            ScanGrid((0.0, 1.0, 5), (0.0, 1.0, steps), "phase")
+        assert ScanGrid((0.0, 1.0, 3.0), (0.0, 1.0, 2), "phase").t_values().size == 3
+
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
             ScanGrid((1.0, 0.0, 5), (0.0, 1.0, 5), "phase")
@@ -199,8 +207,9 @@ class TestScan:
         real_eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: calls.append(("eigh", np.shape(a))) or real_eigh(a))
-        for module, name in ((search, "transition_probability"), (search, "average_fidelity"),
-                             (search, "min_fidelity"), (routing, "u_element_curve"),
+        for module, name in ((routing, "transition_probability"),
+                             (routing, "average_fidelity"), (routing, "min_fidelity"),
+                             (routing, "_statistic"), (routing, "u_element_curve"),
                              (routing, "_spectrum")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, name=name, real=real:
@@ -228,19 +237,16 @@ class TestScan:
             assert calls == [(4, 6), (4, 6), (2, 6)]
 
     @pytest.mark.parametrize("objective", ["localized", "average", "worst_case"])
-    def test_optimize_looks_its_statistic_up_when_called(self, monkeypatch, objective):
-        # Wrappers bound to the module's names, as a tracer installs, see every evaluation.
-        name = {"localized": "transition_probability", "average": "average_fidelity",
-                "worst_case": "min_fidelity"}[objective]
-        calls = []
-        real = getattr(search, name)
-        monkeypatch.setattr(search, name, lambda *args: calls.append(args) or real(*args))
+    def test_optimize_prints_the_statistic_at_its_point(self, objective):
+        grid = SuperpositionGrid(5, 8)
         result = CliRunner().invoke(main, ["optimize", "--n", "20", "--t0", "18.4",
                                            "--param0", "4.7", "--objective", objective,
                                            "--alpha-points", "5", "--chi-points", "8"])
         assert result.exit_code == 0
-        assert len(calls) == json.loads(result.output)["evaluations"] > 0
-        assert all(np.ndim(args[1]) == 0 for args in calls)
+        payload = json.loads(result.output)
+        assert payload["evaluations"] > 0
+        params = RouterParams(20, 1.0, payload["param"])
+        assert payload["value"] == routing._statistic(objective, params, payload["t"], grid)
 
     def test_wrong_matches_cells_for_every_objective(self):
         base = RouterParams(12, 0.8, 0.0)
